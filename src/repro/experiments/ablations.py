@@ -271,14 +271,15 @@ class MultistartAblation:
     """Different LS starting points -> different parameters, similar
     allocation quality (Sec. III-C's observation)."""
 
-    n_starts: int
+    n_refits: int                # reseeded refits of every component
+    n_starts: int                # least-squares starts per fit
     distinct_parameter_sets: int
     sse_spread: float            # (worst - best) / best local-optimum SSE
     makespan_spread: float       # relative make-span spread across refits
 
     def render(self) -> str:
         return (
-            f"A-START: {self.n_starts} starts -> "
+            f"A-START: {self.n_refits} refits x {self.n_starts} starts -> "
             f"{self.distinct_parameter_sets} distinct local optima, "
             f"SSE spread {self.sse_spread:.2%}, "
             f"downstream make-span spread {self.makespan_spread:.2%}"
@@ -296,12 +297,12 @@ def run_multistart_ablation(total_nodes: int = 512, seed: int = 0) -> Multistart
     makespans = []
     params = set()
     sses = []
-    for s in range(6):
+    n_refits, n_starts = 6, 4
+    for s in range(n_refits):
+        options = FitOptions(seed=s, n_starts=n_starts)
         fits = {}
         for comp in data.components():
-            fits[comp] = fit_perf_model(
-                data.nodes(comp), data.times(comp), FitOptions(seed=s, n_starts=4)
-            )
+            fits[comp] = fit_perf_model(data.nodes(comp), data.times(comp), options)
         ice_fit = fits[I]
         params.add(tuple(round(v, 4) for v in ice_fit.model.as_tuple()))
         sses.append(ice_fit.sse)
@@ -312,7 +313,8 @@ def run_multistart_ablation(total_nodes: int = 512, seed: int = 0) -> Multistart
     sses = np.asarray(sses)
     best_sse = max(float(sses.min()), 1e-12)
     return MultistartAblation(
-        n_starts=6,
+        n_refits=n_refits,
+        n_starts=n_starts,
         distinct_parameter_sets=len(params),
         sse_spread=float((sses.max() - sses.min()) / best_sse),
         makespan_spread=float((makespans.max() - makespans.min()) / makespans.min()),

@@ -9,7 +9,9 @@ equations step, projected onto the box, with the damping parameter adapted
 on acceptance/rejection.  Because the problem is nonconvex in ``c`` the
 solver restarts from several heuristic + randomized points and keeps the
 best local solution — mirroring the paper's observation that different
-starts give different parameters but allocations of similar quality.
+starts give different parameters but allocations of similar quality.  The
+starts run in lockstep, stacked into one set of numpy calls per damping
+trial, yet each start's result is bit-identical to fitting it alone.
 
 By default ``c`` is constrained to [1, 3]: the fitted curve is then convex,
 which the branch-and-bound layer requires for global optimality.  Pass
@@ -80,7 +82,8 @@ def fit_perf_model(
         raise FittingError("nodes and times must be matching 1-D arrays")
     if n.size < 3:
         raise FittingError(f"need at least 3 data points, got {n.size}")
-    if np.unique(n).size < 3:
+    distinct = np.unique(n).size
+    if distinct < 3:
         raise FittingError("need at least 3 distinct node counts")
     if np.any(n <= 0):
         raise FittingError("node counts must be positive")
@@ -95,16 +98,17 @@ def fit_perf_model(
     rng = as_rng(opt.seed)
     lo = np.array([0.0, 0.0, opt.c_bounds[0], 0.0])
     hi = np.array([np.inf, np.inf, opt.c_bounds[1], np.inf])
-    fit_b = n.size > 3  # with only 3 points, freeze the nonlinear term
+    # With only 3 distinct node counts (however many repeats), freeze the
+    # nonlinear term: four parameters cannot be fitted to three abscissae.
+    fit_b = distinct > 3
 
-    best_theta, best_sse, total_iters = None, np.inf, 0
-    locals_found = []
-    for theta0 in _starting_points(n, y, opt, rng):
-        theta, sse, iters = _projected_lm(n, y, theta0, lo, hi, fit_b, opt, weights)
-        total_iters += iters
-        locals_found.append((tuple(theta), sse))
+    fitted = _lockstep_lm(n, y, _starting_points(n, y, opt, rng), lo, hi, fit_b, opt, weights)
+    best_theta, best_sse = None, np.inf
+    for theta, sse, _ in fitted:
         if sse < best_sse:
             best_theta, best_sse = theta, sse
+    locals_found = [(tuple(theta), sse) for theta, sse, _ in fitted]
+    total_iters = sum(iters for _, _, iters in fitted)
 
     model = PerfModel(*[float(v) for v in best_theta])
     predicted = model(n)
@@ -141,61 +145,110 @@ def _starting_points(n, y, opt: FitOptions, rng):
     return starts
 
 
-def _residual_jac(n, y, theta, fit_b, weights=None):
-    a, b, c, d = theta
+def _residuals(n, logn, y, theta, fit_b, weights=None):
+    """Residuals ``(k, m)`` and Jacobians ``(k, m, 4)``, one row per start."""
+    a, b, c, d = (theta[:, j, None] for j in range(4))
     nc = np.power(n, c)
-    pred = a / n + b * nc + d
-    r = pred - y
-    J = np.empty((n.size, 4))
-    J[:, 0] = 1.0 / n
-    J[:, 1] = nc
-    J[:, 2] = b * np.log(n) * nc
-    J[:, 3] = 1.0
+    r = a / n + b * nc + d - y
+    J = np.empty(r.shape + (4,))
+    J[..., 0] = 1.0 / n
+    J[..., 1] = nc
+    J[..., 2] = b * logn * nc
+    J[..., 3] = 1.0
     if not fit_b:
-        J[:, 1] = 0.0
-        J[:, 2] = 0.0
+        J[..., 1] = 0.0
+        J[..., 2] = 0.0
     if weights is not None:
         r = r * weights
         J = J * weights[:, None]
     return r, J
 
 
-def _projected_lm(n, y, theta0, lo, hi, fit_b, opt: FitOptions, weights=None):
+def _row_sse(r):
+    """``r_i @ r_i`` per row; numpy runs each batch through the same BLAS dot
+    as the 1-D product, so the bits match a per-start ``r @ r``."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _damped_steps(A, rhs):
+    """``solve(A_i, rhs_i)`` per row; a NaN row where ``A_i`` is singular.
+
+    numpy raises for the whole stack if any member is singular, so that
+    round's members are then solved one at a time.
+    """
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        delta = np.full(rhs.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                delta[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return delta
+
+
+def _lockstep_lm(n, y, starts, lo, hi, fit_b, opt: FitOptions, weights=None):
+    """Projected LM from every start at once: ``(theta, sse, iterations)`` each.
+
+    All starts advance together, one damping trial per round, so each round
+    makes one stacked residual/Jacobian evaluation, one stacked ``J^T r`` and
+    ``J^T J`` and one stacked solve.  A start keeps its own iterate, damping
+    ``lam``, iteration count and 30-trial damping budget, and leaves the batch
+    when it is stationary, when no damping level improves it, or after
+    ``max_iterations``.  Stacking changes no start's arithmetic: each start's
+    result is bit-identical to running it alone.
+    """
+    logn = np.log(n)
+    theta0 = np.array(starts)
     theta = np.clip(theta0, lo, np.where(np.isfinite(hi), hi, theta0))
     if not fit_b:
-        theta[1] = 0.0
-    r, J = _residual_jac(n, y, theta, fit_b, weights)
-    sse = float(r @ r)
-    lam = opt.lambda0
-    iters = 0
-    for _ in range(opt.max_iterations):
-        iters += 1
-        g = J.T @ r
+        theta[:, 1] = 0.0
+    r, J = _residuals(n, logn, y, theta, fit_b, weights)
+    sse = _row_sse(r)
+    k = len(theta)
+    fitted = [None] * k
+    # One row per running start; ``ids`` maps the rows back to ``starts``.
+    ids = np.arange(k)
+    lam = np.full(k, opt.lambda0, dtype=float)
+    iters = np.zeros(k, dtype=int)
+    trials = np.zeros(k, dtype=int)   # damping trials of the current iteration
+    at_top = np.ones(k, dtype=bool)   # about to begin an LM iteration
+    while True:
+        # J^T r and J^T J are recomputed every round; they only change for
+        # the starts whose last step was accepted.
+        g = (J.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+        stop = at_top & (iters >= opt.max_iterations)
+        begin = at_top & ~stop
+        iters += begin
         # Projected-gradient stationarity test on the box.
         pg = np.where((theta <= lo) & (g > 0), 0.0, g)
-        pg = np.where((np.isfinite(hi)) & (theta >= hi) & (pg < 0), 0.0, pg)
-        if float(np.abs(pg).max()) <= opt.gtol * (1.0 + sse):
-            break
-        H = J.T @ J
-        step_ok = False
-        for _ in range(30):
-            A = H + lam * np.eye(4)
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = np.clip(theta + delta, lo, hi)
-            if not fit_b:
-                cand[1] = 0.0
-            r_new, J_new = _residual_jac(n, y, cand, fit_b, weights)
-            sse_new = float(r_new @ r_new)
-            if sse_new < sse:
-                theta, r, J, sse = cand, r_new, J_new, sse_new
-                lam = max(lam * 0.3, 1e-12)
-                step_ok = True
-                break
-            lam *= 10.0
-        if not step_ok:
-            break  # no damping level improves: local optimum
-    return theta, sse, iters
+        pg = np.where(np.isfinite(hi) & (theta >= hi) & (pg < 0), 0.0, pg)
+        stop |= begin & (np.abs(pg).max(axis=1) <= opt.gtol * (1.0 + sse))
+        trials[begin] = 0
+        stop |= trials >= 30   # no damping level improves: local optimum
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                fitted[ids[i]] = (theta[i], float(sse[i]), int(iters[i]))
+            running = ~stop
+            if not running.any():
+                return fitted
+            ids, theta, r, J, sse, g, lam, iters, trials = (
+                v[running] for v in (ids, theta, r, J, sse, g, lam, iters, trials))
+        # One damping trial for every running start.  A singular system yields
+        # a NaN step, which no SSE comparison accepts, so that start loses the
+        # trial exactly as a rejected step does.
+        H = J.transpose(0, 2, 1) @ J
+        delta = _damped_steps(H + lam[:, None, None] * np.eye(4), -g)
+        cand = np.clip(theta + delta, lo, hi)
+        if not fit_b:
+            cand[:, 1] = 0.0
+        r_new, J_new = _residuals(n, logn, y, cand, fit_b, weights)
+        sse_new = _row_sse(r_new)
+        at_top = sse_new < sse
+        theta = np.where(at_top[:, None], cand, theta)
+        r = np.where(at_top[:, None], r_new, r)
+        J = np.where(at_top[:, None, None], J_new, J)
+        sse = np.where(at_top, sse_new, sse)
+        lam = np.where(at_top, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
+        trials += ~at_top

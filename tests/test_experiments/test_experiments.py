@@ -142,6 +142,8 @@ class TestAblationRunners:
 
     def test_multistart_ablation(self):
         ab = run_experiment("a-start")
+        assert (ab.n_refits, ab.n_starts) == (6, 4)
+        assert "6 refits x 4 starts" in ab.render()
         assert ab.distinct_parameter_sets >= 2
         assert ab.makespan_spread < 0.05  # similar-quality allocations
         assert "A-START" in ab.render()

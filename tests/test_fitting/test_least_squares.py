@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FittingError
 from repro.fitting import FitOptions, PerfModel, fit_perf_model, r_squared, rmse, fit_diagnostics
+from repro.fitting import least_squares
+from repro.util.rng import as_rng
 
 
 def sample_curve(model, nodes, noise=0.0, seed=0):
@@ -89,10 +93,16 @@ class TestRecovery:
 
     def test_three_points_freezes_b(self):
         truth = PerfModel(a=500.0, d=20.0)
-        nodes = np.array([2, 16, 128], float)
-        res = fit_perf_model(nodes, truth(nodes))
-        assert res.model.b == 0.0
-        assert res.r_squared > 0.999
+        for nodes, jitter in (
+            ([2, 16, 128], [1.0, 1.0, 1.0]),
+            # Repeated runs at one node count (BenchmarkData.add) that
+            # disagree: still only 3 distinct abscissae, so b stays pinned.
+            ([2, 2, 16, 128], [1.005, 0.995, 1.0, 1.0]),
+        ):
+            nodes = np.array(nodes, float)
+            res = fit_perf_model(nodes, truth(nodes) * np.array(jitter))
+            assert res.model.b == 0.0
+            assert res.r_squared > 0.999
 
     def test_noisy_fit_reasonable(self):
         truth = PerfModel(a=3000.0, d=15.0)
@@ -168,3 +178,128 @@ class TestRecovery:
         res = fit_perf_model(nodes, truth(nodes))
         probe = np.array([2.0, 32.0, 512.0])
         np.testing.assert_allclose(res.model(probe), truth(probe), rtol=0.02)
+
+
+
+def _bits(theta, sse):
+    return [float(v).hex() for v in theta] + [float(sse).hex()]
+
+
+def _fit_bits(res):
+    return (
+        _bits(res.model.as_tuple(), res.sse), res.iterations, res.starts_tried,
+        [_bits(theta, sse) for theta, sse in res.local_optima],
+    )
+
+
+def _per_start_lm(n, y, starts, lo, hi, fit_b, opt, weights=None):
+    """Reference: projected LM run one start at a time, in plain 1-D numpy."""
+
+    def residual_jac(theta):
+        a, b, c, d = theta
+        nc = np.power(n, c)
+        r = a / n + b * nc + d - y
+        J = np.empty((n.size, 4))
+        J[:, 0] = 1.0 / n
+        J[:, 1] = nc
+        J[:, 2] = b * np.log(n) * nc
+        J[:, 3] = 1.0
+        if not fit_b:
+            J[:, 1] = 0.0
+            J[:, 2] = 0.0
+        if weights is not None:
+            r = r * weights
+            J = J * weights[:, None]
+        return r, J
+
+    fitted = []
+    for theta0 in starts:
+        theta = np.clip(theta0, lo, np.where(np.isfinite(hi), hi, theta0))
+        if not fit_b:
+            theta[1] = 0.0
+        r, J = residual_jac(theta)
+        sse = float(r @ r)
+        lam = opt.lambda0
+        iters = 0
+        for _ in range(opt.max_iterations):
+            iters += 1
+            g = J.T @ r
+            pg = np.where((theta <= lo) & (g > 0), 0.0, g)
+            pg = np.where(np.isfinite(hi) & (theta >= hi) & (pg < 0), 0.0, pg)
+            if float(np.abs(pg).max()) <= opt.gtol * (1.0 + sse):
+                break
+            H = J.T @ J
+            for _ in range(30):
+                try:
+                    delta = np.linalg.solve(H + lam * np.eye(4), -g)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                cand = np.clip(theta + delta, lo, hi)
+                if not fit_b:
+                    cand[1] = 0.0
+                r_new, J_new = residual_jac(cand)
+                sse_new = float(r_new @ r_new)
+                if sse_new < sse:
+                    theta, r, J, sse = cand, r_new, J_new, sse_new
+                    lam = max(lam * 0.3, 1e-12)
+                    break
+                lam *= 10.0
+            else:
+                break
+        fitted.append((theta, sse, iters))
+    return fitted
+
+
+@st.composite
+def fit_cases(draw):
+    """A noisy sampled curve and the options to fit it with."""
+    points = draw(st.sampled_from([3, 4, 5, 7, 19]))   # 4 is the a-fit shape
+    nodes = np.round(draw(st.integers(2, 64)) * draw(st.floats(1.5, 3.0)) ** np.arange(points))
+    truth = PerfModel(
+        a=draw(st.floats(10.0, 1e4)),
+        b=draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e-2))),
+        c=draw(st.floats(0.5, 2.5)),
+        d=draw(st.floats(0.1, 50.0)),
+    )
+    seed = draw(st.integers(0, 2**16))
+    y = sample_curve(truth, nodes, noise=draw(st.floats(0.0, 0.10)), seed=seed)
+    opt = FitOptions(
+        loss=draw(st.sampled_from(["absolute", "relative"])),
+        c_bounds=draw(st.sampled_from([(1.0, 3.0), (0.0, 3.0)])),
+        n_starts=draw(st.integers(1, 16)),
+        seed=seed,
+    )
+    return nodes, y, opt
+
+
+class TestLockstepStarts:
+    """All starts of one fit run in lockstep; no start may affect another."""
+
+    @given(case=fit_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_each_start_fits_as_if_alone(self, case):
+        nodes, y, opt = case
+        res = fit_perf_model(nodes, y, opt)
+
+        starts = least_squares._starting_points(nodes, y, opt, as_rng(opt.seed))
+        assert len(starts) == len(res.local_optima) == res.starts_tried
+        total = 0
+        for start, (theta, sse) in zip(starts, res.local_optima):
+            # The same fit with this one start: a lockstep batch of one.
+            with mock.patch.object(least_squares, "_starting_points", return_value=[start]):
+                solo = fit_perf_model(nodes, y, opt)
+            assert _bits(*solo.local_optima[0]) == _bits(theta, sse)
+            total += solo.iterations
+        assert res.iterations == total
+
+    @given(case=fit_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_start_loop(self, case):
+        """Stacking changes no start's arithmetic: the whole FitResult equals
+        the one-start-at-a-time loop's, bit for bit."""
+        nodes, y, opt = case
+        res = fit_perf_model(nodes, y, opt)
+        with mock.patch.object(least_squares, "_lockstep_lm", _per_start_lm):
+            ref = fit_perf_model(nodes, y, opt)
+        assert _fit_bits(res) == _fit_bits(ref)

@@ -40,7 +40,6 @@ class BarrierOptions:
     inner_tol: float = 1e-9      # Newton decrement threshold (lambda^2 / 2)
     armijo: float = 0.25
     backtrack: float = 0.5
-    feas_margin: float = 1e-10   # strict-interior margin in line search
     regularization: float = 1e-10
 
 
@@ -78,6 +77,12 @@ class _Barrier:
         self.opt = opt
         self.finite_lb = np.isfinite(problem.lb)
         self.finite_ub = np.isfinite(problem.ub)
+        # Per-problem constants of the Newton loop: the finite bounds and
+        # the identity / diagonal index used to build and factor Hessians.
+        self._lb_finite = problem.lb[self.finite_lb]
+        self._ub_finite = problem.ub[self.finite_ub]
+        self._eye = np.eye(problem.n)
+        self._diag = np.diag_indices(problem.n)
         self.m_barrier = len(problem.inequalities) + int(self.finite_lb.sum()) + int(
             self.finite_ub.sum()
         )
@@ -275,17 +280,19 @@ class _Barrier:
     def _barrier_value(self, x: np.ndarray, t: float) -> float:
         # Box interiority first: expressions may be undefined (complex
         # fractional powers, division by zero) outside the box.
-        dlo = x[self.finite_lb] - self.p.lb[self.finite_lb]
-        dhi = self.p.ub[self.finite_ub] - x[self.finite_ub]
-        if np.any(dlo <= 0.0) or np.any(dhi <= 0.0):
+        dlo = x[self.finite_lb] - self._lb_finite
+        dhi = self._ub_finite - x[self.finite_ub]
+        if (dlo <= 0.0).any() or (dhi <= 0.0).any():
             return np.inf
         try:
             g = self.p.g_values(x) if self.p.inequalities else np.zeros(0)
         except (TypeError, ArithmeticError):
             return np.inf
-        if g.size and (not np.all(np.isreal(g)) or not np.all(np.isfinite(g))):
-            return np.inf
-        if g.size and g.max(initial=-np.inf) >= 0.0:
+        if g.size and (
+            (g.dtype.kind == "c" and not (g.imag == 0).all())  # non-real
+            or not np.isfinite(g).all()
+            or g.max() >= 0.0
+        ):
             return np.inf
         val = t * self.p.f(x)
         if g.size:
@@ -307,15 +314,15 @@ class _Barrier:
             H += np.outer(gg, gg) / (gval * gval)
             smooth.hess_into(x, H, scale=1.0 / (-gval))
 
-        dlo = x - self.p.lb
-        dhi = self.p.ub - x
         fl, fu = self.finite_lb, self.finite_ub
-        grad[fl] -= 1.0 / dlo[fl]
-        grad[fu] += 1.0 / dhi[fu]
+        dlo = x[fl] - self._lb_finite
+        dhi = self._ub_finite - x[fu]
+        grad[fl] -= 1.0 / dlo
+        grad[fu] += 1.0 / dhi
         diag = np.zeros(n)
-        diag[fl] += 1.0 / dlo[fl] ** 2
-        diag[fu] += 1.0 / dhi[fu] ** 2
-        H[np.diag_indices(n)] += diag + self.opt.regularization
+        diag[fl] += 1.0 / dlo ** 2
+        diag[fu] += 1.0 / dhi ** 2
+        H[self._diag] += diag + self.opt.regularization
         return grad, H
 
     def _newton_direction(self, grad: np.ndarray, H: np.ndarray):
@@ -332,18 +339,17 @@ class _Barrier:
         # abs: a negative-trace (indefinite) Hessian must not flip the
         # ridge scale negative — that would poison the last-resort
         # preconditioner below into an ascent direction.
-        scale = abs(float(np.trace(H))) / n + 1.0
+        scale = abs(float(H.trace())) / n + 1.0
         ridge = self.opt.regularization * scale
-        eye = np.eye(n)
         for _ in range(24):
             try:
-                Lf = np.linalg.cholesky(H + ridge * eye)
+                Lf = np.linalg.cholesky(H + ridge * self._eye)
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 100.0, 1e-12 * scale)
                 continue
             dx = np.linalg.solve(Lf.T, np.linalg.solve(Lf, -grad))
             dec = float(-grad @ dx)
-            if np.all(np.isfinite(dx)) and dec > 0.0:
+            if np.isfinite(dx).all() and dec > 0.0:
                 return dx, dec
             ridge = max(ridge * 100.0, 1e-12 * scale)
         # Last resort: diagonally preconditioned steepest descent.
@@ -352,14 +358,11 @@ class _Barrier:
 
     def _max_box_step(self, x: np.ndarray, dx: np.ndarray) -> float:
         """Largest step keeping ``x + a*dx`` inside the (finite) box."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_hi = np.where(
-                (dx > 0) & self.finite_ub, (self.p.ub - x) / dx, np.inf
-            )
-            to_lo = np.where(
-                (dx < 0) & self.finite_lb, (self.p.lb - x) / dx, np.inf
-            )
-        step = min(float(np.min(to_hi)), float(np.min(to_lo)))
+        up = (dx > 0) & self.finite_ub
+        down = (dx < 0) & self.finite_lb
+        to_hi = (self.p.ub[up] - x[up]) / dx[up]
+        to_lo = (self.p.lb[down] - x[down]) / dx[down]
+        step = min(float(to_hi.min(initial=np.inf)), float(to_lo.min(initial=np.inf)))
         return max(step, 1e-16)
 
     def _center(self, x: np.ndarray, t: float, stop_idx, stop_below: float = -1e-6):
@@ -368,6 +371,11 @@ class _Barrier:
         Returns ``(x, converged, message)``; ``converged=False`` means the
         stage ran out of budget or stalled — callers must not treat the
         value as a certified stage optimum.
+
+        The merit is evaluated once per line-search trial and nowhere else:
+        the accepted trial's value is the next iterate's ``merit_now`` (the
+        same ``_barrier_value(x, t)`` call, so the same bits), and only the
+        stage's starting point is evaluated on its own.
         """
         opt = self.opt
         p = self.p
@@ -376,6 +384,7 @@ class _Barrier:
         stage_iters = 0
         best_res = np.inf
         best_merit = np.inf
+        merit_now = None
         since_progress = 0
         while self.newton_iters < opt.max_newton:
             if stage_iters >= opt.max_newton_per_center:
@@ -397,6 +406,7 @@ class _Barrier:
                 dx, decrement = self._newton_direction(grad, H)
                 dnu = np.zeros(0)
                 res_norm = float(np.linalg.norm(grad))
+                slope = float(grad @ dx)
 
             # Convergence: a genuinely small decrement together with a
             # gradient that is small relative to the stage weight.
@@ -409,7 +419,8 @@ class _Barrier:
             # Stall guard: progress means either the residual or the barrier
             # merit moved meaningfully (a productive crawl keeps lowering the
             # merit long before the residual contracts).
-            merit_now = self._barrier_value(x, t)
+            if merit_now is None:
+                merit_now = self._barrier_value(x, t)
             improved = res_norm < best_res * (1.0 - 1e-3) or (
                 merit_now < best_merit - 1e-6 * (1.0 + abs(best_merit))
             )
@@ -431,13 +442,13 @@ class _Barrier:
             # crawl — jumping to 99.5% of the exact box distance first makes
             # those steps land in one or two trials.
             alpha = min(1.0, 0.995 * self._max_box_step(x, dx))
-            base_merit = self._barrier_value(x, t)
+            base_merit = merit_now
             accepted = False
             for _ in range(60):
                 x_new = x + alpha * dx
                 nu_new = nu + alpha * dnu
                 merit = self._barrier_value(x_new, t)
-                if np.isfinite(merit):
+                if math.isfinite(merit):
                     if m_eq:
                         grad_n, _ = self._grad_hess(x_new, t)
                         rd = grad_n + p.A_eq.T @ nu_new
@@ -447,7 +458,7 @@ class _Barrier:
                             accepted = True
                             break
                     else:
-                        if merit <= base_merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
+                        if merit <= base_merit + opt.armijo * alpha * slope + 1e-14:
                             accepted = True
                             break
                 alpha *= opt.backtrack
@@ -455,7 +466,7 @@ class _Barrier:
             stage_iters += 1
             if not accepted:
                 return x, False, "line search stalled"
-            x, nu = x_new, nu_new
+            x, nu, merit_now = x_new, nu_new, merit
             if stop_idx is not None and x[stop_idx] < stop_below:
                 return x, True, ""
         return x, False, "Newton iteration limit"

@@ -11,6 +11,7 @@ across several seeds (``pytest -m chaos`` with ``REPRO_CHAOS_SEEDS=0,1,2``);
 the default suite runs seed 0 only.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -47,6 +48,24 @@ def _reference(seed: int):
     return _references[seed]
 
 
+def _live_group_members(pgid: int) -> list:
+    """PIDs of the processes in group ``pgid`` that have not exited yet
+    (zombies waiting to be reaped have exited)."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        state, pgrp = fields[0], int(fields[2])
+        if pgrp == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
 def _run_child_and_kill(journal: Path, seed: int, executor: str) -> int:
     """Start a journaled fleet run in a child and SIGKILL it.
 
@@ -54,12 +73,18 @@ def _run_child_and_kill(journal: Path, seed: int, executor: str) -> int:
     finished — i.e. at a deterministic, seed-chosen point in the run's
     life.  Returns how many cells had finished when the child died (the
     child may legitimately win the race and finish everything).
+
+    The child leads its own process group, and the kill goes to the whole
+    group: killing the child alone would leave its pool workers running,
+    re-parented to init.
     """
     target = kill_instant(seed, len(IDS))
     script = _CHILD.format(
         ids=IDS, seed=seed, journal=str(journal), executor=executor
     )
-    child = subprocess.Popen([sys.executable, "-c", script], env=os.environ)
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], env=os.environ, start_new_session=True
+    )
     try:
         deadline = time.monotonic() + 300.0
         while child.poll() is None and time.monotonic() < deadline:
@@ -70,11 +95,16 @@ def _run_child_and_kill(journal: Path, seed: int, executor: str) -> int:
                 except Exception:
                     finished = 0  # mid-write; try again next tick
             if finished >= target:
-                child.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.01)
     finally:
+        with contextlib.suppress(ProcessLookupError):  # the group already exited
+            os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=60)
+    deadline = time.monotonic() + 30.0
+    while _live_group_members(child.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(child.pid) == [], "fleet workers outlived the kill"
     try:
         return len(RunJournal.read(journal).completed)
     except Exception:

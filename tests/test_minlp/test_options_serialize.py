@@ -85,10 +85,16 @@ class TestStrictness:
             minlp_options_from_dict({"rel_gap": 1e-6, "rel_gapp": 1e-6})
 
     def test_unknown_nested_key_rejected(self):
-        payload = minlp_options_to_dict(MINLPOptions())
-        payload["lp_options"]["pivot_magic"] = 3
-        with pytest.raises(ConfigurationError, match="unknown option keys"):
-            minlp_options_from_dict(payload)
+        # ``nlp_options.feas_margin`` was a BarrierOptions field until it was
+        # deleted as dead; payloads that still carry it must fail clearly.
+        for block, key, value in (
+            ("lp_options", "pivot_magic", 3),
+            ("nlp_options", "feas_margin", 1e-10),
+        ):
+            payload = minlp_options_to_dict(MINLPOptions())
+            payload[block][key] = value
+            with pytest.raises(ConfigurationError, match="unknown option keys"):
+                minlp_options_from_dict(payload)
 
     def test_unknown_enum_value_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown value"):

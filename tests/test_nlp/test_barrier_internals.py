@@ -2,13 +2,26 @@
 
 Each test here encodes a failure mode that was actually observed while
 building the MINLP stack: corner starts after phase 1, ill-conditioned
-Hessians faking convergence, and deep-interior cold starts crawling."""
+Hessians faking convergence, and deep-interior cold starts crawling.
+``TestMeritCarry`` holds the Newton loop to its merit evaluation contract
+against a reference loop kept in this module."""
+
+import contextlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cesm import ComponentId, ground_truth
+import repro.nlp.barrier as barrier
+from repro.cesm import ComponentId, Layout, ground_truth, make_case
 from repro.expr import var
+from repro.fitting import PerfModel
+from repro.hslb import layout_model_for_case
+from repro.minlp import solve_lpnlp
+from repro.minlp.nlpbuild import build_nlp
 from repro.nlp import BarrierOptions, NLPProblem, NLPStatus, solve_nlp
 from repro.nlp.barrier import _Barrier
 
@@ -189,3 +202,296 @@ class TestHonestStatuses:
         res = solve_nlp(coupled_relaxation())
         assert res.mu_final == res.mu_final  # not NaN
         assert res.mu_final < 1.0
+
+
+# -- merit evaluation contract -------------------------------------------------------
+
+
+class _ReferenceBarrier(_Barrier):
+    """The Newton loop as it was before the merit carry: it evaluates the
+    current point's merit twice per iteration (stall guard, then line-search
+    base) on top of one evaluation per line-search trial.  Kept verbatim as
+    the bit-identity reference for ``_Barrier``."""
+
+    def _barrier_value(self, x: np.ndarray, t: float) -> float:
+        dlo = x[self.finite_lb] - self.p.lb[self.finite_lb]
+        dhi = self.p.ub[self.finite_ub] - x[self.finite_ub]
+        if np.any(dlo <= 0.0) or np.any(dhi <= 0.0):
+            return np.inf
+        try:
+            g = self.p.g_values(x) if self.p.inequalities else np.zeros(0)
+        except (TypeError, ArithmeticError):
+            return np.inf
+        if g.size and (not np.all(np.isreal(g)) or not np.all(np.isfinite(g))):
+            return np.inf
+        if g.size and g.max(initial=-np.inf) >= 0.0:
+            return np.inf
+        val = t * self.p.f(x)
+        if g.size:
+            val -= float(np.log(-g).sum())
+        val -= float(np.log(dlo).sum()) + float(np.log(dhi).sum())
+        return val
+
+    def _max_box_step(self, x: np.ndarray, dx: np.ndarray) -> float:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_hi = np.where(
+                (dx > 0) & self.finite_ub, (self.p.ub - x) / dx, np.inf
+            )
+            to_lo = np.where(
+                (dx < 0) & self.finite_lb, (self.p.lb - x) / dx, np.inf
+            )
+        step = min(float(np.min(to_hi)), float(np.min(to_lo)))
+        return max(step, 1e-16)
+
+    def _center(self, x: np.ndarray, t: float, stop_idx, stop_below: float = -1e-6):
+        opt = self.opt
+        p = self.p
+        m_eq = len(p.eq_rows)
+        nu = np.zeros(m_eq)
+        stage_iters = 0
+        best_res = np.inf
+        best_merit = np.inf
+        since_progress = 0
+        while self.newton_iters < opt.max_newton:
+            if stage_iters >= opt.max_newton_per_center:
+                return x, False, "per-stage Newton budget exhausted"
+            grad, H = self._grad_hess(x, t)
+            if m_eq:
+                r_dual = grad + p.A_eq.T @ nu
+                r_prim = p.A_eq @ x - p.b_eq
+                KKT = np.block([[H, p.A_eq.T], [p.A_eq, np.zeros((m_eq, m_eq))]])
+                rhs = -np.concatenate([r_dual, r_prim])
+                try:
+                    sol = np.linalg.solve(KKT, rhs)
+                except np.linalg.LinAlgError:
+                    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+                dx, dnu = sol[: p.n], sol[p.n :]
+                res_norm = float(np.linalg.norm(np.concatenate([r_dual, r_prim])))
+                decrement = res_norm
+            else:
+                dx, decrement = self._newton_direction(grad, H)
+                dnu = np.zeros(0)
+                res_norm = float(np.linalg.norm(grad))
+
+            if not m_eq and decrement / 2.0 <= opt.inner_tol and res_norm <= 1e-4 * (
+                1.0 + abs(t)
+            ):
+                return x, True, ""
+            if m_eq and res_norm <= 1e-8 * (1.0 + abs(t)):
+                return x, True, ""
+            merit_now = self._barrier_value(x, t)
+            improved = res_norm < best_res * (1.0 - 1e-3) or (
+                merit_now < best_merit - 1e-6 * (1.0 + abs(best_merit))
+            )
+            best_res = min(best_res, res_norm)
+            best_merit = min(best_merit, merit_now)
+            if improved:
+                since_progress = 0
+            else:
+                since_progress += 1
+                if since_progress >= opt.stall_window:
+                    return x, False, "centering stalled"
+
+            alpha = min(1.0, 0.995 * self._max_box_step(x, dx))
+            base_merit = self._barrier_value(x, t)
+            accepted = False
+            for _ in range(60):
+                x_new = x + alpha * dx
+                nu_new = nu + alpha * dnu
+                merit = self._barrier_value(x_new, t)
+                if np.isfinite(merit):
+                    if m_eq:
+                        grad_n, _ = self._grad_hess(x_new, t)
+                        rd = grad_n + p.A_eq.T @ nu_new
+                        rp = p.A_eq @ x_new - p.b_eq
+                        new_res = float(np.linalg.norm(np.concatenate([rd, rp])))
+                        if new_res <= (1.0 - opt.armijo * alpha) * res_norm + 1e-14:
+                            accepted = True
+                            break
+                    else:
+                        if merit <= base_merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
+                            accepted = True
+                            break
+                alpha *= opt.backtrack
+            self.newton_iters += 1
+            stage_iters += 1
+            if not accepted:
+                return x, False, "line search stalled"
+            x, nu = x_new, nu_new
+            if stop_idx is not None and x[stop_idx] < stop_below:
+                return x, True, ""
+        return x, False, "Newton iteration limit"
+
+
+class _Tally:
+    """How the barriers of one run got to their results."""
+
+    def __init__(self):
+        self.merit_calls = 0  # _barrier_value evaluations
+        self.exits = []       # _center exit messages, in order
+        self.barriers = 0     # _Barrier objects (one more per phase 1)
+
+
+@contextlib.contextmanager
+def _barrier_class(barrier_cls):
+    """Route every ``solve_nlp`` (phase 1 included) through ``barrier_cls``."""
+    tally = _Tally()
+
+    class Counted(barrier_cls):
+        def __init__(self, *args):
+            tally.barriers += 1
+            super().__init__(*args)
+
+        def _barrier_value(self, x, t):
+            tally.merit_calls += 1
+            return super()._barrier_value(x, t)
+
+        def _center(self, *args, **kwargs):
+            out = super()._center(*args, **kwargs)
+            tally.exits.append(out[2])
+            return out
+
+    with mock.patch.object(barrier, "_Barrier", Counted):
+        yield tally
+
+
+def _nlp_bits(result) -> tuple:
+    x = None if result.x is None else result.x.tobytes()
+    return (
+        result.status, x, result.objective.hex(), result.newton_iterations,
+        result.mu_final.hex(), result.max_violation.hex(), result.message,
+    )
+
+
+def _assert_same_as_reference(problem, x0=None, options=None):
+    """Solve with the current and the reference loop; every bit must agree."""
+    runs = []
+    for barrier_cls in (_Barrier, _ReferenceBarrier):
+        with _barrier_class(barrier_cls) as tally:
+            result = solve_nlp(problem, x0=x0, options=options)
+        runs.append((_nlp_bits(result), tally))
+    (new_bits, new), (ref_bits, ref) = runs
+    assert new_bits == ref_bits
+    assert new.exits == ref.exits
+    assert new.barriers == ref.barriers
+    return new_bits, new
+
+
+def table1_relaxation(layout: Layout) -> NLPProblem:
+    """Root relaxation of a 1-degree Table I layout model on the true curves
+    (it keeps one equality row, so the equality branch runs)."""
+    truth = ground_truth("1deg")
+    case = make_case("1deg", 128, layout=layout, seed=0)
+    model = layout_model_for_case(case, {c: truth[c].law for c in (I, L, A, O)})
+    return build_nlp(model, model.objective.minimization_expr(), fixings={}).problem
+
+
+#: An Armijo factor above 1 asks for more decrease than a convex merit can
+#: give, so every line search runs all its trials and stalls.
+STALLING = BarrierOptions(armijo=2.0, backtrack=0.9)
+
+
+def epigraph_problem(curves, budget, eq_sum=None, start="phase1", options=None):
+    """``min T`` over curve rows ``T_j(n_j) <= T`` that share a node budget,
+    the shape the MINLP layer hands the barrier.  ``eq_sum`` adds the row
+    ``n0 + n1 = eq_sum``; ``start`` is ``"phase1"`` (no start point),
+    ``"interior"`` (a strictly feasible start) or ``"outside"`` (a start
+    outside the box, routed through phase 1)."""
+    k = len(curves)
+    T = var("T")
+    nodes = [var(f"n{j}") for j in range(k)]
+    problem = NLPProblem(
+        names=["T"] + [f"n{j}" for j in range(k)],
+        objective=T,
+        inequalities=[(f"c{j}", law.expr(f"n{j}") - T) for j, law in enumerate(curves)]
+        + [("cap", sum(nodes[1:], nodes[0]) - budget)],
+        lb=np.array([0.0] + [1.0] * k),
+        ub=np.array([1e6] + [budget] * k),
+        eq_rows=[] if eq_sum is None else [({"n0": 1.0, "n1": 1.0}, eq_sum)],
+    )
+    x0 = None
+    if start == "interior":
+        share = budget / (2.0 * k)
+        x0 = np.array([max(law(share) for law in curves) + 1.0] + [share] * k)
+    elif start == "outside":
+        x0 = np.array([0.5] + [budget] * k)
+    return problem, x0, options
+
+
+@st.composite
+def epigraph_cases(draw):
+    laws = st.builds(
+        PerfModel,
+        a=st.floats(10.0, 1e4),
+        b=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+        c=st.floats(1.0, 2.5),
+        d=st.floats(0.1, 50.0),
+    )
+    curves = draw(st.lists(laws, min_size=1, max_size=3))
+    budget = draw(st.floats(16.0, 512.0))
+    eq_sum = None
+    if len(curves) >= 2 and draw(st.booleans()):
+        eq_sum = draw(st.floats(3.0, budget / 2.0))
+    return epigraph_problem(
+        curves, budget, eq_sum,
+        start=draw(st.sampled_from(["phase1", "interior", "outside"])),
+        options=draw(st.sampled_from([None, STALLING])),
+    )
+
+
+class TestMeritCarry:
+    """The Newton loop evaluates the merit once per line-search trial and
+    carries the accepted trial's value into the next iteration.  That must
+    change no bit of any result, and it must save the repeated work."""
+
+    def test_coupled_relaxation_bit_identical(self):
+        _assert_same_as_reference(coupled_relaxation())
+
+    @pytest.mark.parametrize("layout", list(Layout), ids=lambda v: v.name.lower())
+    def test_table1_relaxations_bit_identical(self, layout):
+        _assert_same_as_reference(table1_relaxation(layout))
+
+    @given(case=epigraph_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_problems_bit_identical(self, case):
+        _assert_same_as_reference(*case)
+
+    def test_drawn_family_reaches_equality_phase1_and_stall_paths(self):
+        curves = [
+            PerfModel(a=900.0, d=5.0),
+            PerfModel(a=300.0, b=1e-3, c=1.5, d=2.0),
+            PerfModel(a=2000.0, d=1.0),
+        ]
+        bits, tally = _assert_same_as_reference(
+            *epigraph_problem(curves, 64.0, eq_sum=40.0)
+        )
+        assert tally.barriers == 2  # the box center breaks the budget: phase 1
+        assert bits[0] is NLPStatus.OPTIMAL
+        x = np.frombuffer(bits[1])
+        assert math.isclose(x[1] + x[2], 40.0, abs_tol=1e-6)
+
+        bits, tally = _assert_same_as_reference(
+            *epigraph_problem(curves[:1], 64.0, start="interior", options=STALLING)
+        )
+        assert "line search stalled" in tally.exits
+        assert bits[0] is NLPStatus.ITERATION_LIMIT
+
+    def test_lpnlp_solves_take_under_half_the_evaluations(self):
+        """The NLP subproblems of LP/NLP branch and bound (no equality rows,
+        no warm starts: the sweep's traffic) on all three Table I layouts."""
+        truth = ground_truth("1deg")
+        calls = []
+        for barrier_cls in (_Barrier, _ReferenceBarrier):
+            answers = []
+            with _barrier_class(barrier_cls) as tally:
+                for layout in Layout:
+                    case = make_case("1deg", 128, layout=layout, seed=0)
+                    model = layout_model_for_case(
+                        case, {c: truth[c].law for c in (I, L, A, O)}
+                    )
+                    res = solve_lpnlp(model)
+                    answers.append((res.objective.hex(), res.nodes, res.nlp_solves))
+            calls.append((answers, tally.merit_calls))
+        (new_answers, new_calls), (ref_answers, ref_calls) = calls
+        assert new_answers == ref_answers
+        assert new_calls < ref_calls / 2

@@ -104,6 +104,35 @@ class TestServiceResponse:
         for status in ("rejected", "expired", "poisoned", "error"):
             assert not ServiceResponse(id="r", status=status).ok
 
+    def test_decoded_responses_share_keys_and_short_strings(self):
+        """A client keeps every response it decodes; separate lines must
+        not each carry their own copies of the same keys and tags."""
+        result = {
+            "kind": "layout_point", "method": "lpnlp", "objective": 350.78,
+            "allocation": {"atm": 96, "ice": 24, "lnd": 8, "ocn": 16},
+            "solver": {"status": "optimal", "nodes": 16},
+        }
+        first, second = (
+            ServiceResponse.from_dict(decode_line(encode_line(
+                ServiceResponse(id=rid, status="ok", tier="exact", result=result).to_dict()
+            )))
+            for rid in ("r1", "r2")
+        )
+
+        def strings(value):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield key
+                    yield from strings(item)
+            elif isinstance(value, str):
+                yield value
+
+        pairs = list(zip(strings(first.result), strings(second.result)))
+        assert len(pairs) == 14  # 11 keys, 3 string values
+        assert all(a is b for a, b in pairs)
+        assert first.status is second.status and first.tier is second.tier
+        assert ServiceResponse.from_dict(first.to_dict()) == first
+
     def test_error_response_shape(self):
         response = error_response("r9", "rejected", "AdmissionError",
                                   "queue full", in_flight=7)

@@ -89,8 +89,7 @@ class KernelCache:
                 telemetry.count(metric.KERNEL_COMPILES)
                 core = SmoothCore(expr, evaluator)
                 self._smooth[key] = core
-        return SmoothKernel(expr, index, evaluator=evaluator,
-                            counters=self.counters, core=core)
+        return SmoothKernel(expr, index, evaluator=evaluator, core=core)
 
     def batch(self, exprs, index: dict, presimplify: bool = True) -> BatchKernel:
         """A (cached) batched kernel evaluating ``exprs`` in one pass.

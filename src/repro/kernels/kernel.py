@@ -172,12 +172,11 @@ class SmoothKernel:
     return, in matching order.
     """
 
-    __slots__ = ("core", "grad_positions", "hess_positions", "_sel", "counters")
+    __slots__ = ("core", "grad_positions", "hess_positions", "_sel")
 
     def __init__(self, expr: Expr, index: dict, evaluator: str = "kernel",
-                 counters=None, core: SmoothCore | None = None):
+                 core: SmoothCore | None = None):
         self.core = core if core is not None else SmoothCore(expr, evaluator)
-        self.counters = counters
         support = self.core.support
         self.grad_positions = [index[n] for n in support]
         self.hess_positions = [
@@ -194,7 +193,7 @@ class SmoothKernel:
         """Linear coefficients when the expression is affine, else None."""
         return self.core.linear
 
-    # -- dense assembly (the barrier solver's interface) ----------------------
+    # -- evaluation at a full variable vector -----------------------------------
 
     def value(self, x) -> float:
         return self.core.value(x[self._sel])
@@ -206,33 +205,6 @@ class SmoothKernel:
     def hess_entries(self, x) -> tuple:
         """Upper-triangle Hessian entries, aligned with ``hess_positions``."""
         return self.core.hess_fn(x[self._sel])
-
-    def grad_into(self, x, out: np.ndarray) -> None:
-        """Accumulate the gradient at ``x`` into dense vector ``out``."""
-        if self.counters is not None:
-            self.counters.incr("kernel_grad_evals")
-        for pos, val in zip(self.grad_positions, self.core.grad_fn(x[self._sel])):
-            out[pos] += val
-
-    def grad_vector(self, x, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        self.grad_into(x, out)
-        return out
-
-    def hess_into(self, x, out: np.ndarray, scale: float) -> None:
-        """Accumulate ``scale * Hessian`` at ``x`` into dense matrix ``out``."""
-        if self.core.linear is not None:
-            return  # affine: zero Hessian
-        if self.counters is not None:
-            self.counters.incr("kernel_hess_evals")
-        entries = self.core.hess_fn(x[self._sel])
-        for (ia, ib), entry in zip(self.hess_positions, entries):
-            v = entry * scale
-            if v == 0.0:
-                continue
-            out[ia, ib] += v
-            if ia != ib:
-                out[ib, ia] += v
 
 
 def _EMPTY(x):

@@ -77,12 +77,28 @@ class _Barrier:
         self.opt = opt
         self.finite_lb = np.isfinite(problem.lb)
         self.finite_ub = np.isfinite(problem.ub)
-        # Per-problem constants of the Newton loop: the finite bounds and
-        # the identity / diagonal index used to build and factor Hessians.
-        self._lb_finite = problem.lb[self.finite_lb]
-        self._ub_finite = problem.ub[self.finite_ub]
-        self._eye = np.eye(problem.n)
-        self._diag = np.diag_indices(problem.n)
+        # Evaluation plan of the Newton loop, built once per problem.  Per
+        # smooth function (the objective, then each inequality row): its
+        # compiled value/gradient/Hessian cores, the positions of its
+        # support in x, the dense Hessian targets of its entries and whether
+        # it is affine (zero Hessian).  Then the finite bounds as
+        # (position, bound) pairs.
+        n = problem.n
+        kernels = problem.kernels()
+        self._f_plan, *self._row_plans = [
+            (k.core.value, k.core.grad_fn, k.core.hess_fn, k.grad_positions,
+             [(a * n + b, b * n + a) for a, b in k.hess_positions],
+             k.linear is not None)
+            for k in kernels
+        ]
+        self._lower = [(int(j), float(problem.lb[j])) for j in np.flatnonzero(self.finite_lb)]
+        self._upper = [(int(j), float(problem.ub[j])) for j in np.flatnonzero(self.finite_ub)]
+        # Evaluation counts of one _grad_hess call: every gradient, and
+        # the Hessian of every function that is not affine.
+        self._counters = problem.kernel_cache.counters
+        self._grad_evals = len(kernels)
+        self._hess_evals = sum(k.linear is None for k in kernels)
+        self._eye = np.eye(n)
         self.m_barrier = len(problem.inequalities) + int(self.finite_lb.sum()) + int(
             self.finite_ub.sum()
         )
@@ -277,53 +293,130 @@ class _Barrier:
 
     # -- Newton centering ------------------------------------------------------------
 
+    # The three per-step evaluations below run on Python floats: on these
+    # 1-7 variable problems numpy's per-call overhead costs more than the
+    # arithmetic.  Each performs exactly the float operations, in the same
+    # order, of the array code it replaces (docs/solvers.md lists the
+    # facts this rests on), so every result is bit-identical to it.
+
     def _barrier_value(self, x: np.ndarray, t: float) -> float:
+        xs = x.tolist()
         # Box interiority first: expressions may be undefined (complex
         # fractional powers, division by zero) outside the box.
-        dlo = x[self.finite_lb] - self._lb_finite
-        dhi = self._ub_finite - x[self.finite_ub]
-        if (dlo <= 0.0).any() or (dhi <= 0.0).any():
-            return np.inf
+        dlo = [xs[j] - lo for j, lo in self._lower]
+        dhi = [hi - xs[j] for j, hi in self._upper]
+        for d in dlo + dhi:
+            if d <= 0.0:
+                return math.inf
+        # Python floats raise (ZeroDivisionError, OverflowError) or go
+        # complex where numpy returns inf or nan: all of them leave the
+        # merit infinite, as a non-finite row value did.
         try:
-            g = self.p.g_values(x) if self.p.inequalities else np.zeros(0)
+            neg_g = []
+            for value, _, _, pos, _, _ in self._row_plans:
+                g = value([xs[j] for j in pos])
+                if not -math.inf < g < 0.0:  # TypeError when complex
+                    return math.inf
+                neg_g.append(-g)
+            value, _, _, pos, _, _ = self._f_plan
+            f = float(value([xs[j] for j in pos]))  # TypeError when complex
         except (TypeError, ArithmeticError):
-            return np.inf
-        if g.size and (
-            (g.dtype.kind == "c" and not (g.imag == 0).all())  # non-real
-            or not np.isfinite(g).all()
-            or g.max() >= 0.0
-        ):
-            return np.inf
-        val = t * self.p.f(x)
-        if g.size:
-            val -= float(np.log(-g).sum())
-        val -= float(np.log(dlo).sum()) + float(np.log(dhi).sum())
+            return math.inf
+        # One np.log over all terms (math.log can differ from it), reduced
+        # per group exactly as the three separate arrays were: ndarray.sum
+        # is a left fold only up to 7 terms.
+        logs = np.log(neg_g + dlo + dhi)
+        m, k = len(neg_g), len(neg_g) + len(dlo)
+        val = t * f
+        if m:
+            val -= float(logs[:m].sum())
+        val -= float(logs[m:k].sum()) + float(logs[k:].sum())
         return val
 
     def _grad_hess(self, x: np.ndarray, t: float):
+        """Gradient and Hessian of the merit at ``x``.
+
+        Runs at a stage's starting point and at accepted line-search
+        trials: points whose merit is finite, where every row value is
+        negative and every box distance positive.  Two cases still give a
+        derivative Python floats cannot represent where numpy has inf or
+        nan: an entry that overflows or a squared row value that underflows
+        to zero (an ``ArithmeticError``), and a start point whose rows are
+        undefined, which ``strictly_feasible`` lets through as nan (a
+        complex entry).  Both return an all-nan step, which every
+        line-search trial rejects.
+        """
+        self._counters.incr("kernel_grad_evals", self._grad_evals)
+        if self._hess_evals:
+            self._counters.incr("kernel_hess_evals", self._hess_evals)
         n = self.p.n
-        grad = t * self.p.grad_f(x)
-        H = np.zeros((n, n))
-        self.p.hess_f_into(x, H, scale=t)
-
-        for _, smooth in self.p.g_items():
-            gval = smooth.value(x)
-            gg = smooth.grad_vector(x, n)
-            # -log(-g): gradient = gg / (-g); Hessian = gg ggT / g^2 + Hg / (-g)
-            grad += gg / (-gval)
-            H += np.outer(gg, gg) / (gval * gval)
-            smooth.hess_into(x, H, scale=1.0 / (-gval))
-
-        fl, fu = self.finite_lb, self.finite_ub
-        dlo = x[fl] - self._lb_finite
-        dhi = self._ub_finite - x[fu]
-        grad[fl] -= 1.0 / dlo
-        grad[fu] += 1.0 / dhi
-        diag = np.zeros(n)
-        diag[fl] += 1.0 / dlo ** 2
-        diag[fu] += 1.0 / dhi ** 2
-        H[self._diag] += diag + self.opt.regularization
+        try:
+            grad, H = self._assemble(x.tolist(), t, n)
+        except ArithmeticError:
+            grad = H = None
+        if grad is None or grad.dtype.kind == "c" or H.dtype.kind == "c":
+            return np.full(n, np.nan), np.full((n, n), np.nan)
         return grad, H
+
+    def _assemble(self, xs: list, t: float, n: int):
+        grad = [0.0] * n
+        H = [0.0] * (n * n)
+        _, grad_fn, hess_fn, pos, hess_at, affine = self._f_plan
+        support = [xs[j] for j in pos]
+        # `0.0 + v` is the dense accumulation the entries used to go
+        # through: it turns a -0.0 entry into +0.0.
+        for j, v in zip(pos, grad_fn(support)):
+            grad[j] = t * (0.0 + v)
+        if not affine:
+            for (ab, ba), entry in zip(hess_at, hess_fn(support)):
+                v = entry * t
+                if v == 0.0:
+                    continue
+                H[ab] += v
+                if ab != ba:
+                    H[ba] += v
+
+        # -log(-g): gradient = gg / (-g); Hessian = gg ggT / g^2 + Hg / (-g).
+        # Terms outside a row's support would add +-0.0, which changes only
+        # a -0.0 entry: never a Hessian entry (they start at +0.0), and a
+        # gradient entry only if the objective's t * v underflowed to it.
+        # So they are skipped.
+        for value, grad_fn, hess_fn, pos, hess_at, affine in self._row_plans:
+            support = [xs[j] for j in pos]
+            gval = value(support)
+            gg = [0.0 + v for v in grad_fn(support)]
+            neg = -gval
+            for j, gj in zip(pos, gg):
+                grad[j] += gj / neg
+            gsq = gval * gval
+            for i, gi in zip(pos, gg):
+                row = i * n
+                for j, gj in zip(pos, gg):
+                    H[row + j] += gi * gj / gsq
+            if not affine:
+                scale = 1.0 / neg
+                for (ab, ba), entry in zip(hess_at, hess_fn(support)):
+                    v = entry * scale
+                    if v == 0.0:
+                        continue
+                    H[ab] += v
+                    if ab != ba:
+                        H[ba] += v
+
+        # Box terms; a square is `d * d`, which is what numpy's `** 2` does.
+        diag = [0.0] * n
+        for j, lo in self._lower:
+            d = xs[j] - lo
+            grad[j] -= 1.0 / d
+            diag[j] += 1.0 / (d * d)
+        for j, hi in self._upper:
+            d = hi - xs[j]
+            grad[j] += 1.0 / d
+            diag[j] += 1.0 / (d * d)
+        reg = self.opt.regularization
+        for j in range(n):
+            H[j * n + j] += diag[j] + reg
+        return np.array(grad), np.array(H).reshape(n, n)
 
     def _newton_direction(self, grad: np.ndarray, H: np.ndarray):
         """A guaranteed descent direction: Cholesky with escalating ridge.
@@ -357,12 +450,26 @@ class _Barrier:
         return dx, float(-grad @ dx)
 
     def _max_box_step(self, x: np.ndarray, dx: np.ndarray) -> float:
-        """Largest step keeping ``x + a*dx`` inside the (finite) box."""
-        up = (dx > 0) & self.finite_ub
-        down = (dx < 0) & self.finite_lb
-        to_hi = (self.p.ub[up] - x[up]) / dx[up]
-        to_lo = (self.p.lb[down] - x[down]) / dx[down]
-        step = min(float(to_hi.min(initial=np.inf)), float(to_lo.min(initial=np.inf)))
+        """Largest step keeping ``x + a*dx`` inside the (finite) box.
+
+        ``dx`` is real (see ``_grad_hess``), and at a point whose merit is
+        finite every distance to the box is a finite float, so the running
+        minimum is exact in any order.
+        """
+        xs, ds = x.tolist(), dx.tolist()
+        step = math.inf
+        for j, hi in self._upper:
+            d = ds[j]
+            if d > 0.0:
+                s = (hi - xs[j]) / d
+                if s < step:
+                    step = s
+        for j, lo in self._lower:
+            d = ds[j]
+            if d < 0.0:
+                s = (lo - xs[j]) / d
+                if s < step:
+                    step = s
         return max(step, 1e-16)
 
     def _center(self, x: np.ndarray, t: float, stop_idx, stop_below: float = -1e-6):

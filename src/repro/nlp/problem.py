@@ -1,10 +1,10 @@
 """NLP problem container evaluating through compiled kernels.
 
 Symbolic gradients and Hessians are derived once and compiled into
-CSE-grouped kernels (:mod:`repro.kernels`) over the problem's variable
-vector; evaluation during the barrier iterations is then a handful of
-bytecode-compiled statement blocks instead of tree walks, while linear rows
-contribute constant Jacobian entries assembled directly into numpy arrays.
+CSE-grouped kernels (:mod:`repro.kernels`) over each function's own
+support; evaluation during the barrier iterations is then a handful of
+bytecode-compiled statement blocks instead of tree walks, and the barrier
+assembles their entries into its dense gradient and Hessian itself.
 
 Construction goes through a :class:`~repro.kernels.KernelCache` — pass the
 same cache to sibling subproblems (the MINLP solvers pass one per solve)
@@ -104,18 +104,13 @@ class NLPProblem:
     def f(self, x: np.ndarray) -> float:
         return float(self._f.value(x))
 
-    def grad_f(self, x: np.ndarray) -> np.ndarray:
-        return self._f.grad_vector(x, self.n)
-
-    def hess_f_into(self, x: np.ndarray, out: np.ndarray, scale: float = 1.0) -> None:
-        self._f.hess_into(x, out, scale)
-
     def g_values(self, x: np.ndarray) -> np.ndarray:
         return np.array([s.value(x) for _, s in self._g])
 
-    def g_items(self):
-        """(label, smooth kernel) pairs for the inequalities."""
-        return self._g
+    def kernels(self) -> list:
+        """The objective's smooth kernel, then each inequality's, in row
+        order (the barrier's Newton loop evaluates their cores directly)."""
+        return [self._f] + [s for _, s in self._g]
 
     def max_violation(self, x: np.ndarray) -> float:
         """max(g(x), bound violations, |A_eq x - b|), 0 when feasible."""

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.whatif import _solve_layout_point
 from repro.exceptions import ProtocolError, ReproError
@@ -124,18 +125,34 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class ParsedRequest:
-    """A validated solve request with its cache/batching identities."""
+    """A validated solve request with its cache/batching identities.
+
+    ``key`` is hashed at parse time.  ``compat`` and ``channel`` hash part
+    of the spec again, so they are computed on first use: an exact-tier
+    hit never needs them.
+    """
 
     request: ServiceRequest
     spec: object                 # SolvePointSpec | TuneSpec
     key: str                     # exact-tier identity (spec_key of the spec)
-    compat: str | None           # batching identity; None -> never co-batched
-    channel: str | None          # warm-pool identity; None -> no family
     budget: int                  # descending-order sort key (total nodes)
+    body: dict | None = field(default=None, repr=False, compare=False)  # solve_point to_dict()
 
     @property
     def id(self) -> str:
         return self.request.id
+
+    @cached_property
+    def compat(self) -> str | None:
+        """Batching identity; None -> never co-batched."""
+        return None if self.body is None else reuse_channel(self.body)
+
+    @property
+    def channel(self) -> str | None:
+        """Warm-pool identity; None -> no family (tune and oracle requests)."""
+        if self.compat is None or self.spec.method == "oracle":
+            return None
+        return self.compat
 
 
 def reuse_channel(point_payload: dict) -> str:
@@ -376,22 +393,12 @@ class ServiceEngine:
         if request.kind == "solve_point":
             spec = SolvePointSpec.from_dict(request.spec)
             body = spec.to_dict()
-            compat = reuse_channel(body)
-            channel = compat if spec.method != "oracle" else None
-            budget = int(body["problem"]["total_nodes"])
-        else:
-            spec = TuneSpec.from_dict(request.spec)
-            compat = None
-            channel = None
-            budget = 0
-        return ParsedRequest(
-            request=request,
-            spec=spec,
-            key=spec.spec_key(),
-            compat=compat,
-            channel=channel,
-            budget=budget,
-        )
+            return ParsedRequest(
+                request=request, spec=spec, key=spec_key(body),
+                budget=int(body["problem"]["total_nodes"]), body=body,
+            )
+        spec = TuneSpec.from_dict(request.spec)
+        return ParsedRequest(request=request, spec=spec, key=spec.spec_key(), budget=0)
 
     # -- tier 1: exact -----------------------------------------------------------
 
@@ -589,14 +596,15 @@ class ServiceEngine:
             )
         try:
             parsed = self.parse(request)
+            hit = self.try_exact(parsed)
+            if hit is not None:
+                return hit
+            parsed.compat  # hash the reuse channel now that the exact tier missed
         except ReproError as exc:
             self.note("requests")
             self.note("errors")
             return error_response(request.id, "error",
                                   type(exc).__name__, str(exc))
-        hit = self.try_exact(parsed)
-        if hit is not None:
-            return hit
         return self.solve_group([parsed])[0]
 
     # -- introspection / lifecycle -----------------------------------------------

@@ -235,16 +235,19 @@ class TuningDaemon:
                                    result={"stopping": True})
 
         # Solve kinds: validate, then exact tier, then admission + queue.
+        # The reuse channel is hashed only once the exact tier missed, but
+        # before admission, so a spec it rejects is still answered `error`.
         try:
             parsed = engine.parse(request)
+            hit = engine.try_exact(parsed)
+            if hit is not None:
+                return hit
+            parsed.compat
         except ReproError as exc:
             engine.note("requests")
             engine.note("errors")
             return error_response(request.id, "error",
                                   type(exc).__name__, str(exc))
-        hit = engine.try_exact(parsed)
-        if hit is not None:
-            return hit
         if self._stopping or self._inflight >= self.config.max_queue:
             engine.note("requests")
             engine.note("rejected")

@@ -7,7 +7,9 @@ import pytest
 
 from repro.exceptions import ExpressionError
 from repro.expr.node import const, var
-from repro.kernels import BatchKernel, KernelCache, SmoothKernel, default_cache
+from repro.kernels import BatchKernel, KernelCache, default_cache
+from repro.nlp import BarrierOptions, NLPProblem
+from repro.nlp.barrier import _Barrier
 from repro.util.timing import Counters
 
 
@@ -44,10 +46,8 @@ class TestSmoothCaching:
         x1 = np.array([2.0, 7.0])
         x2 = np.array([99.0, 2.0, 0.0, 0.0, 7.0])
         assert k1.value(x1) == k2.value(x2) == 7.5
-        g1 = np.zeros(2)
-        g2 = np.zeros(5)
-        k1.grad_into(x1, g1)
-        k2.grad_into(x2, g2)
+        g1 = dict(zip(k1.grad_positions, k1.grad_entries(x1)))
+        g2 = dict(zip(k2.grad_positions, k2.grad_entries(x2)))
         assert g1[1] == g2[4] == 1.0          # d/dT
         assert g1[0] == g2[1] == -0.25        # d/dn
 
@@ -128,12 +128,26 @@ class TestCounters:
         assert a.summary() == {"x": 5, "y": 1}
 
     def test_smooth_kernel_counts_evaluations(self):
-        counters = Counters()
-        k = SmoothKernel(perf_expr(), {"n": 0}, counters=counters)
-        x = np.array([16.0])
-        out = np.zeros(1)
-        k.grad_into(x, out)
-        H = np.zeros((1, 1))
-        k.hess_into(x, H, scale=1.0)
-        assert counters.get("kernel_grad_evals") == 1
-        assert counters.get("kernel_hess_evals") == 1
+        """The barrier counts each Newton step's kernel evaluations in its
+        problem's cache: every gradient, and the Hessian of every function
+        that is not affine."""
+        cache = KernelCache()
+        problem = NLPProblem(
+            names=["n", "T"],
+            objective=var("T"),
+            inequalities=[("curve", perf_expr() - var("T")),
+                          ("cap", var("n") - const(60.0))],
+            lb=np.array([1.0, 0.0]),
+            ub=np.array([64.0, 1e4]),
+            kernel_cache=cache,
+        )
+        x = np.array([16.0, 900.0])
+        for k in problem.kernels():
+            k.grad_entries(x)
+            k.hess_entries(x)
+        assert cache.counters.get("kernel_grad_evals") == 0  # entries alone count nothing
+        barrier = _Barrier(problem, BarrierOptions())
+        for step in (1, 2):
+            barrier._grad_hess(x, 1.0)
+            assert cache.counters.get("kernel_grad_evals") == 3 * step
+            assert cache.counters.get("kernel_hess_evals") == step

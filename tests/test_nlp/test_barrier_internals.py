@@ -3,8 +3,9 @@
 Each test here encodes a failure mode that was actually observed while
 building the MINLP stack: corner starts after phase 1, ill-conditioned
 Hessians faking convergence, and deep-interior cold starts crawling.
-``TestMeritCarry`` holds the Newton loop to its merit evaluation contract
-against a reference loop kept in this module."""
+``TestMeritCarry`` holds the Newton loop to its merit evaluation contract,
+and its Python-float evaluation to the numpy arrays it replaced, against a
+reference loop kept in this module."""
 
 import contextlib
 import math
@@ -184,6 +185,54 @@ class TestMaxBoxStep:
         assert b._max_box_step(x, np.zeros(5)) == np.inf
 
 
+class TestPythonFloatEdges:
+    """The merit, box step and Newton step run on Python floats, which raise
+    or go complex where numpy returns inf or nan.  None of that may leave
+    the solver."""
+
+    def test_undefined_rows_make_the_merit_infinite(self):
+        x, y = var("x"), var("y")
+        p = NLPProblem(
+            names=["x", "y"],
+            objective=y,
+            inequalities=[("root", x ** 0.5 - y), ("pole", 1.0 / x - y - 10.0)],
+            lb=np.array([-1.0, -10.0]),
+            ub=np.array([1.0, 10.0]),
+        )
+        b = _Barrier(p, BarrierOptions())
+        assert math.isfinite(b._barrier_value(np.array([0.25, 1.0]), 1.0))
+        assert b._barrier_value(np.array([-0.25, 1.0]), 1.0) == math.inf  # complex
+        assert b._barrier_value(np.array([0.0, 1.0]), 1.0) == math.inf    # 1 / 0
+
+    def test_unrepresentable_hessian_gives_a_nan_step(self):
+        x = var("x")
+        p = NLPProblem(
+            names=["x"], objective=x, inequalities=[("c", x)],
+            lb=np.array([-1.0]), ub=np.array([1.0]),
+        )
+        b = _Barrier(p, BarrierOptions())
+        point = np.array([-1e-200])  # finite merit, but g * g underflows to 0
+        assert math.isfinite(b._barrier_value(point, 1.0))
+        grad, H = b._grad_hess(point, 1.0)
+        assert np.isnan(grad).all() and np.isnan(H).all()
+
+    def test_start_with_undefined_rows_is_answered(self):
+        """A row value numpy gives as nan passes ``strictly_feasible``, so
+        the Newton loop starts there; Python floats make its gradient
+        complex, which must end the stage, not raise."""
+        x, y = var("x"), var("y")
+        p = NLPProblem(
+            names=["x", "y"], objective=y, inequalities=[("root", x ** 0.5 - y)],
+            lb=np.array([-1.0, -5.0]), ub=np.array([4.0, 5.0]),
+        )
+        start = np.array([-0.5, 1.0])
+        with np.errstate(invalid="ignore"):
+            assert _Barrier(p, BarrierOptions()).strictly_feasible(start)
+            res = solve_nlp(p, x0=start)
+        assert res.status is NLPStatus.ITERATION_LIMIT
+        assert res.message == "line search stalled"
+
+
 class TestHonestStatuses:
     def test_unconverged_never_reports_optimal_garbage(self):
         """With a starved budget the solver must degrade its *status*,
@@ -207,11 +256,58 @@ class TestHonestStatuses:
 # -- merit evaluation contract -------------------------------------------------------
 
 
+def _dense_grad(smooth, x: np.ndarray, n: int, counters) -> np.ndarray:
+    counters.incr("kernel_grad_evals")
+    out = np.zeros(n)
+    for pos, val in zip(smooth.grad_positions, smooth.grad_entries(x)):
+        out[pos] += val
+    return out
+
+
+def _add_hess(smooth, x: np.ndarray, H: np.ndarray, scale: float, counters) -> None:
+    if smooth.linear is not None:
+        return  # affine: zero Hessian
+    counters.incr("kernel_hess_evals")
+    for (ia, ib), entry in zip(smooth.hess_positions, smooth.hess_entries(x)):
+        v = entry * scale
+        if v == 0.0:
+            continue
+        H[ia, ib] += v
+        if ia != ib:
+            H[ib, ia] += v
+
+
 class _ReferenceBarrier(_Barrier):
     """The Newton loop as it was before the merit carry: it evaluates the
     current point's merit twice per iteration (stall guard, then line-search
-    base) on top of one evaluation per line-search trial.  Kept verbatim as
-    the bit-identity reference for ``_Barrier``."""
+    base) on top of one evaluation per line-search trial.  Its merit, box
+    step and gradient/Hessian run on numpy arrays, the last one assembling
+    dense arrays from each kernel's entries and counting every evaluation
+    as it goes.  Kept as the bit-identity reference for ``_Barrier``."""
+
+    def _grad_hess(self, x: np.ndarray, t: float):
+        n = self.p.n
+        objective, *rows = self.p.kernels()
+        counters = self.p.kernel_cache.counters
+        grad = t * _dense_grad(objective, x, n, counters)
+        H = np.zeros((n, n))
+        _add_hess(objective, x, H, t, counters)
+        for smooth in rows:
+            gval = smooth.value(x)
+            gg = _dense_grad(smooth, x, n, counters)
+            grad += gg / (-gval)
+            H += np.outer(gg, gg) / (gval * gval)
+            _add_hess(smooth, x, H, 1.0 / (-gval), counters)
+        fl, fu = self.finite_lb, self.finite_ub
+        dlo = x[fl] - self.p.lb[fl]
+        dhi = self.p.ub[fu] - x[fu]
+        grad[fl] -= 1.0 / dlo
+        grad[fu] += 1.0 / dhi
+        diag = np.zeros(n)
+        diag[fl] += 1.0 / dlo ** 2
+        diag[fu] += 1.0 / dhi ** 2
+        H[np.diag_indices(n)] += diag + self.opt.regularization
+        return grad, H
 
     def _barrier_value(self, x: np.ndarray, t: float) -> float:
         dlo = x[self.finite_lb] - self.p.lb[self.finite_lb]
@@ -391,19 +487,28 @@ def table1_relaxation(layout: Layout) -> NLPProblem:
 STALLING = BarrierOptions(armijo=2.0, backtrack=0.9)
 
 
-def epigraph_problem(curves, budget, eq_sum=None, start="phase1", options=None):
+def epigraph_problem(curves, budget, eq_sum=None, start="phase1", options=None,
+                     shared=None):
     """``min T`` over curve rows ``T_j(n_j) <= T`` that share a node budget,
     the shape the MINLP layer hands the barrier.  ``eq_sum`` adds the row
     ``n0 + n1 = eq_sum``; ``start`` is ``"phase1"`` (no start point),
     ``"interior"`` (a strictly feasible start) or ``"outside"`` (a start
-    outside the box, routed through phase 1)."""
+    outside the box, routed through phase 1).  ``shared``, a curve on
+    ``n0``, joins the objective and the last curve row, so the Hessian
+    entry of ``n0`` sums curved terms of several functions and the order
+    of those terms shows in the bits."""
     k = len(curves)
     T = var("T")
     nodes = [var(f"n{j}") for j in range(k)]
+    bodies = [law.expr(f"n{j}") for j, law in enumerate(curves)]
+    objective = T
+    if shared is not None:
+        objective = T + shared.expr("n0")
+        bodies[-1] = bodies[-1] + shared.expr("n0")
     problem = NLPProblem(
         names=["T"] + [f"n{j}" for j in range(k)],
-        objective=T,
-        inequalities=[(f"c{j}", law.expr(f"n{j}") - T) for j, law in enumerate(curves)]
+        objective=objective,
+        inequalities=[(f"c{j}", body - T) for j, body in enumerate(bodies)]
         + [("cap", sum(nodes[1:], nodes[0]) - budget)],
         lb=np.array([0.0] + [1.0] * k),
         ub=np.array([1e6] + [budget] * k),
@@ -412,7 +517,8 @@ def epigraph_problem(curves, budget, eq_sum=None, start="phase1", options=None):
     x0 = None
     if start == "interior":
         share = budget / (2.0 * k)
-        x0 = np.array([max(law(share) for law in curves) + 1.0] + [share] * k)
+        top = max(law(share) for law in curves) + (shared(share) if shared else 0.0)
+        x0 = np.array([top + 1.0] + [share] * k)
     elif start == "outside":
         x0 = np.array([0.5] + [budget] * k)
     return problem, x0, options
@@ -436,13 +542,16 @@ def epigraph_cases(draw):
         curves, budget, eq_sum,
         start=draw(st.sampled_from(["phase1", "interior", "outside"])),
         options=draw(st.sampled_from([None, STALLING])),
+        shared=draw(st.one_of(st.none(), laws)),
     )
 
 
 class TestMeritCarry:
     """The Newton loop evaluates the merit once per line-search trial and
-    carries the accepted trial's value into the next iteration.  That must
-    change no bit of any result, and it must save the repeated work."""
+    carries the accepted trial's value into the next iteration, and it
+    evaluates merit, box step, gradient and Hessian on Python floats.  That
+    must change no bit of any result or evaluation count, and the carry
+    must save the repeated work."""
 
     def test_coupled_relaxation_bit_identical(self):
         _assert_same_as_reference(coupled_relaxation())
@@ -476,6 +585,15 @@ class TestMeritCarry:
         assert "line search stalled" in tally.exits
         assert bits[0] is NLPStatus.ITERATION_LIMIT
 
+    def test_shared_curvature_bit_identical(self):
+        """Curved terms of the objective and of two rows meet in one
+        Hessian entry; their order of summation must not change."""
+        curves = [PerfModel(a=900.0, b=1e-3, c=1.5, d=5.0), PerfModel(a=300.0, d=2.0)]
+        bits, _ = _assert_same_as_reference(
+            *epigraph_problem(curves, 64.0, shared=PerfModel(a=40.0, b=1e-2, c=2.0))
+        )
+        assert bits[0] is NLPStatus.OPTIMAL
+
     def test_lpnlp_solves_take_under_half_the_evaluations(self):
         """The NLP subproblems of LP/NLP branch and bound (no equality rows,
         no warm starts: the sweep's traffic) on all three Table I layouts."""
@@ -490,7 +608,8 @@ class TestMeritCarry:
                         case, {c: truth[c].law for c in (I, L, A, O)}
                     )
                     res = solve_lpnlp(model)
-                    answers.append((res.objective.hex(), res.nodes, res.nlp_solves))
+                    answers.append((res.objective.hex(), res.nodes, res.nlp_solves,
+                                    res.kernel_counters))
             calls.append((answers, tally.merit_calls))
         (new_answers, new_calls), (ref_answers, ref_calls) = calls
         assert new_answers == ref_answers

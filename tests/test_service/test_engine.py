@@ -1,6 +1,10 @@
 """ServiceEngine behavior: tiers, dedup, batching semantics, fault typing."""
 
+from unittest import mock
+
 import pytest
+
+import repro.service.engine as engine_module
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.service import (
@@ -82,6 +86,20 @@ class TestTiers:
         assert warm.tier == "warm"
         assert engine.stats()["counters"]["warm_hits"] == 1
         assert engine.stats()["warm"]["channels"] == 1
+
+    def test_exact_hit_never_hashes_the_channel(self, specs):
+        """An exact hit is answered from the spec's key alone; the reuse
+        channel is hashed once per miss."""
+        engine = ServiceEngine()
+        engine.handle(request_for(specs[0]))
+        with mock.patch.object(engine_module, "reuse_channel",
+                               wraps=reuse_channel) as channel:
+            parsed = engine.parse(request_for(specs[0]))
+            assert engine.handle(request_for(specs[0])).tier == "exact"
+            assert channel.call_count == 0
+            assert engine.handle(request_for(specs[1])).tier == "warm"
+            assert channel.call_count == 1
+        assert parsed.key == specs[0].spec_key()
 
     def test_oracle_requests_answered_without_family(self, calibrated):
         engine = ServiceEngine()

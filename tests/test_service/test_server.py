@@ -15,9 +15,11 @@ and the benchmark harness use.  The invariants:
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
+import repro.service.engine as engine_module
 from repro.exceptions import AdmissionError, DeadlineExceededError
 from repro.resilience.events import EventKind, EventLog
 from repro.reuse import SolveFamily
@@ -106,6 +108,18 @@ class TestSolvesOverSocket:
         assert_bit_identical(cold.result, direct[0])
         assert repeat.ok and repeat.tier == "exact"
         assert repeat.result == cold.result
+
+    def test_exact_hit_never_hashes_the_channel(self, specs):
+        with serve_in_thread(ServiceConfig()) as handle:
+            with handle.client(client_id="t") as client:
+                client.solve_point(specs[0])
+                with mock.patch.object(engine_module, "reuse_channel",
+                                       wraps=engine_module.reuse_channel) as channel:
+                    repeat = client.solve_point(specs[0])
+                    hashed_on_hit = channel.call_count
+                    miss = client.solve_point(specs[1])
+        assert repeat.tier == "exact" and hashed_on_hit == 0
+        assert miss.tier == "warm" and channel.call_count == 1
 
     def test_pipelined_requests_matched_by_id(self, specs, direct):
         config = ServiceConfig(batch_window=0.05)

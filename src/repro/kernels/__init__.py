@@ -12,8 +12,9 @@ caches the result under structural hashes of the expression trees
 Layering: ``repro.expr`` emits the source, this package owns compilation
 policy (CSE grouping, batching, caching, counters); ``repro.nlp`` evaluates
 through :class:`SmoothKernel`, the ``repro.minlp`` solvers share one
-:class:`KernelCache` per solve across all tree nodes, and
-``repro.hslb.oracle`` scores whole candidate-layout blocks through
+:class:`KernelCache` per solve across all tree nodes (and each cache shares
+its compiled cores with later solves through a bounded process-wide store),
+and ``repro.hslb.oracle`` scores whole candidate-layout blocks through
 :class:`BatchKernel`.  The tree-walk path (``Expr.evaluate``) stays intact
 as the bit-identical reference implementation — select it with
 ``evaluator="tree"``.

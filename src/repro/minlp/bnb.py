@@ -108,7 +108,8 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
 
     # One cache for the whole tree: children share their parent's
     # expressions (only bounds differ), so every node after the root
-    # re-uses the root's compiled kernels.
+    # re-uses the root's compiled kernels; the root itself may be served
+    # cores that earlier solves left in the process-wide store.
     cache = KernelCache()
 
     incumbent: dict | None = None

@@ -135,7 +135,8 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
 
     # One kernel cache for every NLP this solve builds: the seed relaxation
     # and all fixed-integer NLP(ŷ) subproblems share the same nonlinear
-    # bodies, so compilation happens once.
+    # bodies, so compilation happens at most once per solve, and not at all
+    # for cores the process-wide store already holds.
     cache = KernelCache()
 
     # Cross-solve reuse (a repro.reuse.SolveFamily, duck-typed through

@@ -109,14 +109,15 @@ class _Barrier:
     def strictly_feasible(self, x: np.ndarray, margin: float = 1e-9) -> bool:
         """Strict interiority with a small margin — a point microscopically
         inside a constraint is useless to the barrier (its log term explodes),
-        so such starts are routed through phase 1 instead."""
+        so such starts are routed through phase 1 instead.  So are starts
+        where a row is undefined (numpy's nan)."""
         lo, hi = self.p.lb, self.p.ub
         fl, fu = self.finite_lb, self.finite_ub
         if np.any(x[fl] <= lo[fl] + margin * (1.0 + np.abs(lo[fl]))):
             return False
         if np.any(x[fu] >= hi[fu] - margin * (1.0 + np.abs(hi[fu]))):
             return False
-        if len(self.p.inequalities) and np.any(self.p.g_values(x) >= -margin):
+        if len(self.p.inequalities) and not (self.p.g_values(x) < -margin).all():
             return False
         return True
 
@@ -341,10 +342,10 @@ class _Barrier:
         negative and every box distance positive.  Two cases still give a
         derivative Python floats cannot represent where numpy has inf or
         nan: an entry that overflows or a squared row value that underflows
-        to zero (an ``ArithmeticError``), and a start point whose rows are
-        undefined, which ``strictly_feasible`` lets through as nan (a
-        complex entry).  Both return an all-nan step, which every
-        line-search trial rejects.
+        to zero (an ``ArithmeticError``), and a phase-1 start at a box
+        centre where a row is undefined, so its slack is nan (a complex
+        entry).  Both return an all-nan step, which every line-search trial
+        rejects.
         """
         self._counters.incr("kernel_grad_evals", self._grad_evals)
         if self._hess_evals:

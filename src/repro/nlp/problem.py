@@ -9,9 +9,11 @@ assembles their entries into its dense gradient and Hessian itself.
 Construction goes through a :class:`~repro.kernels.KernelCache` — pass the
 same cache to sibling subproblems (the MINLP solvers pass one per solve)
 and structurally identical functions are neither re-differentiated nor
-recompiled.  ``evaluator`` selects the back-end: ``"kernel"`` (default),
-``"scalar"`` (one compiled lambda per expression — the historical path) or
-``"tree"`` (direct ``Expr.evaluate`` walks, the bit-identical reference).
+recompiled; a function that earlier solves compiled twice comes from the
+process-wide core store behind every cache.  ``evaluator`` selects the
+back-end: ``"kernel"`` (default), ``"scalar"`` (one compiled lambda per
+expression — the historical path) or ``"tree"`` (direct ``Expr.evaluate``
+walks, the bit-identical reference).
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from repro.cesm import ComponentId, Layout, ground_truth, make_case
 from repro.expr import var
 from repro.fitting import PerfModel
 from repro.hslb import layout_model_for_case
+from repro.kernels.cache import clear_core_store
 from repro.minlp import solve_lpnlp
 from repro.minlp.nlpbuild import build_nlp
 from repro.nlp import BarrierOptions, NLPProblem, NLPStatus, solve_nlp
@@ -217,9 +218,9 @@ class TestPythonFloatEdges:
         assert np.isnan(grad).all() and np.isnan(H).all()
 
     def test_start_with_undefined_rows_is_answered(self):
-        """A row value numpy gives as nan passes ``strictly_feasible``, so
-        the Newton loop starts there; Python floats make its gradient
-        complex, which must end the stage, not raise."""
+        """A start where numpy gives a row value as nan is not strictly
+        feasible, so it goes through phase 1 and gets the answer of a solve
+        with no start, bit for bit."""
         x, y = var("x"), var("y")
         p = NLPProblem(
             names=["x", "y"], objective=y, inequalities=[("root", x ** 0.5 - y)],
@@ -227,10 +228,16 @@ class TestPythonFloatEdges:
         )
         start = np.array([-0.5, 1.0])
         with np.errstate(invalid="ignore"):
-            assert _Barrier(p, BarrierOptions()).strictly_feasible(start)
-            res = solve_nlp(p, x0=start)
-        assert res.status is NLPStatus.ITERATION_LIMIT
-        assert res.message == "line search stalled"
+            assert not _Barrier(p, BarrierOptions()).strictly_feasible(start)
+            started = solve_nlp(p, x0=start)
+        cold = solve_nlp(p)
+
+        def bits(res):
+            return (res.status, res.message, [v.hex() for v in res.x.tolist()],
+                    res.objective.hex(), res.newton_iterations,
+                    res.mu_final.hex(), res.max_violation.hex())
+
+        assert bits(started) == bits(cold)
 
 
 class TestHonestStatuses:
@@ -600,6 +607,10 @@ class TestMeritCarry:
         truth = ground_truth("1deg")
         calls = []
         for barrier_cls in (_Barrier, _ReferenceBarrier):
+            # The second pass would otherwise be served the cores the first
+            # one admitted to the process-wide store, and count fewer
+            # compiles.
+            clear_core_store()
             answers = []
             with _barrier_class(barrier_cls) as tally:
                 for layout in Layout:

@@ -1,4 +1,4 @@
-"""Wall-clock speedup of the process backend on latency-dominated stages.
+"""Wall-clock speedup of the supervised backend on latency-dominated stages.
 
 The synthetic simulator replays recorded measurements in microseconds, so
 parallelising it proves nothing.  :class:`LatencySimulator` restores the
@@ -7,7 +7,7 @@ machine for time proportional to the simulated seconds, like a real job in
 a queue — without touching the returned values.  Two claims:
 
 1.  **Gather scales.**  Benchmarking the 8th-degree case (5 sweep points x
-    4 components = 20 independent jobs) with 4 process workers is at least
+    4 components = 20 independent jobs) with 4 supervised workers is at least
     2x faster than the serial sweep, and returns bit-identical data.
 2.  **Grid search scales.**  The 6x4 ocean/ice fraction grid (24 coupled
     runs) speeds up the same way and picks the same allocation.
@@ -23,7 +23,7 @@ from conftest import run_once
 from repro.baselines.grid_search import grid_search_allocation
 from repro.cesm import CoupledRunSimulator, make_case
 from repro.hslb import gather_benchmarks
-from repro.parallel import LatencySimulator, ProcessExecutor
+from repro.parallel import LatencySimulator, SupervisedProcessExecutor
 
 WORKERS = 4
 MIN_SPEEDUP = 2.0
@@ -47,7 +47,7 @@ def bench_gather():
         return LatencySimulator(CoupledRunSimulator(case), scale=GATHER_SCALE)
 
     serial, t_serial = _timed(lambda: gather_benchmarks(sim(), points=5))
-    with ProcessExecutor(WORKERS) as ex:
+    with SupervisedProcessExecutor(WORKERS) as ex:
         parallel, t_parallel = _timed(
             lambda: gather_benchmarks(sim(), points=5, executor=ex)
         )
@@ -59,7 +59,7 @@ def test_gather_speedup_with_process_workers(benchmark, report):
     speedup = t_serial / t_parallel
     report(
         f"gather (8th, 20 latency-bearing jobs): serial {t_serial:.2f} s, "
-        f"{WORKERS} process workers {t_parallel:.2f} s ({speedup:.1f}x)"
+        f"{WORKERS} supervised workers {t_parallel:.2f} s ({speedup:.1f}x)"
     )
     assert serial.components() == parallel.components()
     for comp in serial.components():
@@ -76,7 +76,7 @@ def bench_grid_search():
         return LatencySimulator(CoupledRunSimulator(case), scale=GRID_SCALE)
 
     serial, t_serial = _timed(lambda: grid_search_allocation(sim()))
-    with ProcessExecutor(WORKERS) as ex:
+    with SupervisedProcessExecutor(WORKERS) as ex:
         parallel, t_parallel = _timed(
             lambda: grid_search_allocation(sim(), executor=ex)
         )
@@ -90,7 +90,7 @@ def test_grid_search_speedup_with_process_workers(benchmark, report):
     speedup = t_serial / t_parallel
     report(
         f"grid search (1deg, 24 coupled runs): serial {t_serial:.2f} s, "
-        f"{WORKERS} process workers {t_parallel:.2f} s ({speedup:.1f}x)"
+        f"{WORKERS} supervised workers {t_parallel:.2f} s ({speedup:.1f}x)"
     )
     assert parallel == serial
     assert speedup >= MIN_SPEEDUP, (

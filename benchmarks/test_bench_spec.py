@@ -14,8 +14,8 @@ recipes compared per Table I problem are:
 
 Both produce a solvable model; the spec path just moves the build to the
 worker and ships ~4x fewer bytes.  A third suite times the real thing — a
-what-if ladder fanned out on a :class:`ProcessExecutor`, which ships specs
-since the refactor — and checks it returns the serial sweep's exact
+what-if ladder fanned out on the supervised process pool, which ships
+specs since the refactor — and checks it returns the serial sweep's exact
 results.
 """
 
@@ -147,7 +147,7 @@ def bench_process_sweep():
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
     shipped = solve_layout_points(
-        perf, bounds, SIZES, executor="process", workers=2, **kwargs
+        perf, bounds, SIZES, executor="supervised", workers=2, **kwargs
     )
     t_process = time.perf_counter() - t0
     return serial, shipped, t_serial, t_process

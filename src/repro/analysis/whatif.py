@@ -84,7 +84,7 @@ def layout_point_specs(
 
 
 def _solve_layout_point(spec: SolvePointSpec, family) -> LayoutPoint:
-    """Solve one balanced layout; module-level so process backends can run it.
+    """Solve one balanced layout; module-level so supervised workers can run it.
 
     ``spec`` is pure data: the model is rebuilt here, in whatever process
     this runs in, through the builder registry — workers never unpickle a

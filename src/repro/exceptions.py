@@ -82,8 +82,8 @@ class WorkerLostError(ReproError):
     """A parallel worker process was lost while it held a task.
 
     Raised (via the ordered merge) when supervision exhausts its retry
-    budget for the task, or by the plain process backend when its pool
-    breaks.  ``attempts`` counts how many times the task was dispatched.
+    budget for the task, or by the thread backend when its pool breaks.
+    ``attempts`` counts how many times the task was dispatched.
     """
 
     def __init__(self, message: str, attempts: int = 1):

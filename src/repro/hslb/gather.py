@@ -359,7 +359,9 @@ def _gather_resilient_parallel(
     if they had never run.
     """
     case: CESMCase = simulator.case
-    share_deadline = ex.kind != "process"
+    # Only thread workers share this process; every other backend runs
+    # sweeps on copies, whose attempt counts must be merged back.
+    share_deadline = ex.kind == "thread"
     tasks = []
     for comp in components:
         counts = _sweep_counts(case, comp, points)

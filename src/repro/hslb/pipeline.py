@@ -16,7 +16,7 @@ three set, every step runs the historical clean path bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cesm.case import CESMCase
 from repro.cesm.components import OPTIMIZED_COMPONENTS
@@ -118,9 +118,8 @@ class HSLBPipeline:
         self.retry_policy = retry_policy or (RetryPolicy() if self.resilient else None)
         self.deadline_seconds = deadline
         # Parallel execution (see repro.parallel): the gather step fans its
-        # sweeps out on `executor`, and `workers` > 1 additionally enables
-        # speculative node solves inside the MINLP step.  Results stay
-        # bit-identical to the serial defaults.
+        # sweeps out on `executor` with `workers` workers; the MINLP step is
+        # one serial tree.  Results stay bit-identical to the serial defaults.
         self.executor = executor
         self.workers = workers
         # Cross-solve reuse (see repro.reuse): pass a SolveFamily to thread
@@ -176,14 +175,13 @@ class HSLBPipeline:
 
     def solve(self, fits: dict, deadline: Deadline | None = None) -> SolveOutcome:
         """Step 3: MINLP for the optimal allocation."""
-        options = self._solver_options()
         if not self.resilient:
             return solve_allocation(
                 self.case,
                 fits,
                 objective=self.objective,
                 method=self.method,
-                options=options,
+                options=self.minlp_options,
                 fine_tuning=self.fine_tuning,
                 reuse=self.reuse,
             )
@@ -192,27 +190,12 @@ class HSLBPipeline:
             fits,
             objective=self.objective,
             method=self.method,
-            options=options,
+            options=self.minlp_options,
             fine_tuning=self.fine_tuning,
             events=self.events,
             deadline=deadline if deadline is not None else self.deadline_seconds,
             reuse=self.reuse,
         )
-
-    def _solver_options(self) -> MINLPOptions | None:
-        """MINLP options with the pipeline's worker count folded in.
-
-        Explicit ``minlp_options.workers`` wins; the pipeline-level
-        ``workers`` only fills the default.
-        """
-        options = self.minlp_options
-        if self.workers is None or self.workers <= 1:
-            return options
-        if options is None:
-            return MINLPOptions(workers=self.workers)
-        if options.workers == 1:
-            return replace(options, workers=self.workers)
-        return options
 
     def execute(self, outcome: SolveOutcome) -> ComponentTimings:
         """Step 4: coupled run at the chosen allocation."""
@@ -282,12 +265,10 @@ class HSLBPipeline:
         ``curves`` (``{ComponentId: PerfModel | FitResult}``) pins fitted
         curves into the spec so replays skip gather+fit; ``benchmarks`` (a
         :class:`BenchmarkData`) pins raw samples so replays skip gather but
-        refit.  The solver worker count is folded into the serialized
-        options (:meth:`_solver_options`), so a ``workers>1`` pipeline
-        round-trips to an equivalent solve; the *executor* (serial, thread,
-        process) is deliberately not part of the spec — it is deployment,
-        not problem description, and results are bit-identical across
-        executors by the parallel layer's contract.
+        refit.  The *executor* and its worker count (serial, thread,
+        supervised) are deliberately not part of the spec — they are
+        deployment, not problem description, and results are bit-identical
+        across executors by the parallel layer's contract.
         """
         from repro.spec import (
             BudgetSpec,
@@ -308,7 +289,7 @@ class HSLBPipeline:
         budget = None
         if deadline is not None or max_retries is not None:
             budget = BudgetSpec(deadline=deadline, max_retries=max_retries)
-        options = self._solver_options()
+        options = self.minlp_options
         bench_payload = None
         if benchmarks is not None:
             bench_payload = {

@@ -1,11 +1,10 @@
 """JSON (de)serialization for benchmark data, fits, run results and specs.
 
 Every payload carries a ``format`` tag plus a ``schema_version`` field
-(see :mod:`repro.spec.schema`): loaders validate both, accept the
-historical ``repro/<kind>@1`` tags as version 1, and reject files written
-by a *newer* library version with a clear error instead of a ``KeyError``
-three layers down.  Everything is plain JSON so the artifacts diff and
-archive cleanly next to a case's run scripts.
+(see :mod:`repro.spec.schema`): loaders validate both and reject files
+written by a *newer* library version with a clear error instead of a
+``KeyError`` three layers down.  Everything is plain JSON so the artifacts
+diff and archive cleanly next to a case's run scripts.
 """
 
 from __future__ import annotations

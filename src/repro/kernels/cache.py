@@ -106,8 +106,8 @@ class KernelCache:
         self._smooth: dict = {}
         self._batch: dict = {}
         # Lookups compile-and-insert on miss; the lock makes that atomic so
-        # concurrent callers (speculative MINLP node solves, parallel gather
-        # sharing default_cache()) never compile the same kernel twice and
+        # concurrent callers (thread fan-outs, parallel gather sharing
+        # default_cache()) never compile the same kernel twice and
         # the hit/miss counters stay exact for cache operations.
         self._lock = threading.RLock()
 

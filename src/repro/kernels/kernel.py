@@ -29,11 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ExpressionError
-from repro.expr.compile import (
-    compile_expr,
-    compile_expr_set,
-    compile_expr_single,
-)
+from repro.expr.compile import compile_expr_set, compile_expr_single
 from repro.expr.diff import gradient, hessian
 from repro.expr.linear import linear_coefficients
 from repro.expr.node import Expr
@@ -42,9 +38,8 @@ __all__ = ["BatchKernel", "SmoothKernel", "EVALUATORS"]
 
 #: Evaluation back-ends for :class:`SmoothKernel`:
 #: ``"kernel"`` — CSE'd compiled expression sets (the fast path),
-#: ``"scalar"`` — one compiled lambda per expression (the pre-kernel path),
 #: ``"tree"``   — direct tree walks via ``Expr.evaluate`` (the reference).
-EVALUATORS = ("kernel", "scalar", "tree")
+EVALUATORS = ("kernel", "tree")
 
 
 class BatchKernel:
@@ -140,12 +135,6 @@ class SmoothCore:
             self.hess_fn = (
                 compile_expr_set(hess_exprs, local) if hess_exprs else _EMPTY
             )
-        elif evaluator == "scalar":
-            self.value = compile_expr(expr, local)
-            grad_fns = [compile_expr(e, local) for e in grad_exprs]
-            hess_fns = [compile_expr(e, local) for e in hess_exprs]
-            self.grad_fn = lambda x: tuple(f(x) for f in grad_fns)
-            self.hess_fn = lambda x: tuple(f(x) for f in hess_fns)
         else:  # tree-walk reference
             names = self.support
 

@@ -327,9 +327,13 @@ class _Tableau:
             return LPResult(status, iterations=self.iterations,
                             phase1_iterations=self.phase1_iterations,
                             message="phase 1 iteration limit")
+        # Feasibility is judged row by row, as in the warm path: the largest
+        # artificial is the worst row violation.  Their sum would call
+        # infeasible rows that are each within the tolerance.
         art_sum = float(self.values[self.art_start :].sum())
+        art_max = float(self.values[self.art_start :].max(initial=0.0))
         scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-        if art_sum > 1e-7 * scale:
+        if art_max > 1e-7 * scale:
             return LPResult(LPStatus.INFEASIBLE, iterations=self.iterations,
                             phase1_iterations=self.phase1_iterations,
                             message=f"phase 1 optimum {art_sum:.3e} > 0")

@@ -30,7 +30,6 @@ from repro.minlp.nlpbuild import build_nlp
 from repro.minlp.options import BranchRule, MINLPOptions
 from repro.minlp.result import MINLPResult, MINLPStatus
 from repro.nlp.barrier import solve_nlp
-from repro.parallel.executor import ThreadExecutor
 from repro import telemetry
 from repro.telemetry import names as metric
 from repro.util.timing import Stopwatch
@@ -53,42 +52,6 @@ def _warm_x0(node: Node, prob):
     if np.all(lo_s <= hi_s):
         return np.clip(vals, lo_s, hi_s)
     return None
-
-
-class _NLPSpec:
-    """A child node's NLP, built at push time and (maybe) solved off-thread.
-
-    The build — the only part touching the shared :class:`KernelCache` —
-    runs on the main thread; the worker thread runs the pure barrier solve.
-    ``handle.result()`` at pop yields the same :class:`NLPResult` (and
-    re-raises the same error) the inline solve would, so consuming a
-    speculation is observationally identical to not speculating; discarding
-    one only wastes worker time.
-    """
-
-    __slots__ = ("built", "x0", "handle")
-
-    def __init__(self, built, x0, handle):
-        self.built = built
-        self.x0 = x0
-        self.handle = handle
-
-
-def _solve_spec_nlp(problem, x0, options):
-    return solve_nlp(problem, x0=x0, options=options)
-
-
-def _speculate_nlp(model, obj_expr, node: Node, cache, opt, ex) -> _NLPSpec:
-    built = build_nlp(
-        model, obj_expr, fixings={}, bounds=node.bounds,
-        kernel_cache=cache, evaluator=opt.evaluator,
-    )
-    x0 = None
-    handle = None
-    if built.infeasible_reason is None and not built.fully_fixed:
-        x0 = _warm_x0(node, built.problem)
-        handle = ex.submit(_solve_spec_nlp, built.problem, x0, opt.nlp_options)
-    return _NLPSpec(built, x0, handle)
 
 
 def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPResult:
@@ -149,130 +112,107 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
     status = MINLPStatus.OPTIMAL
     message = ""
 
-    # workers > 1: children's NLPs are solved speculatively on a thread
-    # pool while the main thread works the tree.  Results are consumed at
-    # pop time with identical checks and counters, so the search — node
-    # count, incumbent, bounds — is bit-identical to the serial one.
-    ex = ThreadExecutor(opt.workers) if opt.workers > 1 else None
-
-    def push_child(child: Node) -> None:
-        if ex is not None:
-            child.spec = _speculate_nlp(model, obj_expr, child, cache, opt, ex)
-        queue.push(child)
-
     def cutoff() -> float:
         if not math.isfinite(upper):
             return math.inf
         return upper - max(opt.abs_gap, opt.rel_gap * max(1.0, abs(upper)))
 
-    try:
-        while len(queue):
-            if nodes >= opt.max_nodes:
-                status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
-                break
-            if time.monotonic() - t0 > opt.time_limit:
-                status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
-                break
-            if opt.check_hook is not None and opt.check_hook():
-                status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
-                break
+    while len(queue):
+        if nodes >= opt.max_nodes:
+            status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
+            break
+        if time.monotonic() - t0 > opt.time_limit:
+            status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
+            break
+        if opt.check_hook is not None and opt.check_hook():
+            status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
+            break
 
-            node = queue.pop()
-            spec = node.spec
-            node.spec = None
-            if node.bound >= cutoff():
+        node = queue.pop()
+        if node.bound >= cutoff():
+            continue
+        nodes += 1
+        telemetry.count(metric.MINLP_NODES, solver="bnb")
+
+        with telemetry.span("bnb.node"):
+            built = build_nlp(
+                model, obj_expr, fixings={}, bounds=node.bounds,
+                kernel_cache=cache, evaluator=opt.evaluator,
+            )
+            if built.infeasible_reason is not None:
                 continue
-            nodes += 1
-            telemetry.count(metric.MINLP_NODES, solver="bnb")
-
-            with telemetry.span("bnb.node"):
-                if spec is not None:
-                    built = spec.built
-                else:
-                    built = build_nlp(
-                        model, obj_expr, fixings={}, bounds=node.bounds,
-                        kernel_cache=cache, evaluator=opt.evaluator,
-                    )
-                if built.infeasible_reason is not None:
-                    continue
-                if built.fully_fixed:
-                    env = dict(built.fixed)
-                    if not model.check_point(env, tol=_NL_FEAS_TOL):
-                        if built.objective_value < upper:
-                            upper, incumbent = built.objective_value, env
-                    continue
-
-                with sw.phase("nlp"), telemetry.span("bnb.nlp"):
-                    if spec is not None:
-                        res = spec.handle.result()
-                    else:
-                        x0 = _warm_x0(node, built.problem)
-                        res = solve_nlp(built.problem, x0=x0, options=opt.nlp_options)
-                nlp_solves += 1
-                telemetry.count(metric.MINLP_NLP_SOLVES, solver="bnb")
-                if res.x is None:
-                    continue  # infeasible node
+            if built.fully_fixed:
                 env = dict(built.fixed)
-                env.update(res.value_map(built.problem.names))
-                if res.is_optimal:
-                    # The barrier returns an interior point slightly above the true
-                    # relaxation optimum; pad by the duality-gap proxy to keep the
-                    # bound valid for pruning.
-                    gap_pad = res.mu_final if math.isfinite(res.mu_final) else 0.0
-                    bound = res.objective - gap_pad
-                    node.bound = bound
-                    if bound >= cutoff():
-                        continue
-                else:
-                    # Unconverged relaxation: its value is NOT a valid bound — keep
-                    # the inherited one and never prune on this solve.
-                    bound = node.bound
+                if not model.check_point(env, tol=_NL_FEAS_TOL):
+                    if built.objective_value < upper:
+                        upper, incumbent = built.objective_value, env
+                continue
 
-                frac_name = most_fractional_integer(model, env, opt.int_tol)
-                sos_viol = violated_sos_sets(model, env, opt.int_tol)
-                if frac_name is None and not sos_viol:
-                    # Certify the point through the fixed-integer NLP: the node's
-                    # own continuous values are a barrier interior point (slightly
-                    # off the true optimum, and dependent on the node box), while
-                    # NLP(y-hat) is a function of the integer fixings alone — so
-                    # incumbents agree to the bit with the LP/NLP solver and with
-                    # any reuse-seeded starting incumbent.
-                    fixings = {
-                        v.name: float(round(env[v.name]))
-                        for v in model.integer_variables()
-                    }
-                    with sw.phase("nlp_fixed"):
-                        cand_env, cand_obj, solved = _solve_fixed_nlp(
-                            model, obj_expr, fixings, opt, cache
-                        )
-                        nlp_solves += solved
-                        telemetry.count(metric.MINLP_NLP_SOLVES, solved, solver="bnb")
-                    if cand_env is None:
-                        # Certification failed at the shared tolerance (rare
-                        # numerical corner): keep the node's own point.
-                        candidate = {
-                            k: (float(round(v)) if k in model.variables and model.variables[k].is_integral else v)
-                            for k, v in env.items()
-                        }
-                        if not model.check_point(candidate, tol=1e-5):
-                            cand_env = candidate
-                            cand_obj = float(obj_expr.evaluate(candidate))
-                    if cand_env is not None and cand_obj < upper:
-                        upper, incumbent = cand_obj, cand_env
+            with sw.phase("nlp"), telemetry.span("bnb.nlp"):
+                x0 = _warm_x0(node, built.problem)
+                res = solve_nlp(built.problem, x0=x0, options=opt.nlp_options)
+            nlp_solves += 1
+            telemetry.count(metric.MINLP_NLP_SOLVES, solver="bnb")
+            if res.x is None:
+                continue  # infeasible node
+            env = dict(built.fixed)
+            env.update(res.value_map(built.problem.names))
+            if res.is_optimal:
+                # The barrier returns an interior point slightly above the true
+                # relaxation optimum; pad by the duality-gap proxy to keep the
+                # bound valid for pruning.
+                gap_pad = res.mu_final if math.isfinite(res.mu_final) else 0.0
+                bound = res.objective - gap_pad
+                node.bound = bound
+                if bound >= cutoff():
                     continue
+            else:
+                # Unconverged relaxation: its value is NOT a valid bound — keep
+                # the inherited one and never prune on this solve.
+                bound = node.bound
 
-                if opt.branch_rule is BranchRule.SOS_FIRST and sos_viol:
-                    target = max(sos_viol, key=lambda s: len(s.active_members(env, opt.int_tol)))
-                    left, right = split_sos(target, env, node.bounds)
-                else:
-                    if frac_name is None:
-                        raise SolverError("no branching candidate on a fractional node")
-                    left, right = branch_integer(frac_name, env[frac_name], node.bounds)
-                for child_bounds in (left, right):
-                    push_child(Node(bounds=child_bounds, bound=bound, depth=node.depth + 1, warm=dict(env)))
-    finally:
-        if ex is not None:
-            ex.shutdown()
+            frac_name = most_fractional_integer(model, env, opt.int_tol)
+            sos_viol = violated_sos_sets(model, env, opt.int_tol)
+            if frac_name is None and not sos_viol:
+                # Certify the point through the fixed-integer NLP: the node's
+                # own continuous values are a barrier interior point (slightly
+                # off the true optimum, and dependent on the node box), while
+                # NLP(y-hat) is a function of the integer fixings alone — so
+                # incumbents agree to the bit with the LP/NLP solver and with
+                # any reuse-seeded starting incumbent.
+                fixings = {
+                    v.name: float(round(env[v.name]))
+                    for v in model.integer_variables()
+                }
+                with sw.phase("nlp_fixed"):
+                    cand_env, cand_obj, solved = _solve_fixed_nlp(
+                        model, obj_expr, fixings, opt, cache
+                    )
+                    nlp_solves += solved
+                    telemetry.count(metric.MINLP_NLP_SOLVES, solved, solver="bnb")
+                if cand_env is None:
+                    # Certification failed at the shared tolerance (rare
+                    # numerical corner): keep the node's own point.
+                    candidate = {
+                        k: (float(round(v)) if k in model.variables and model.variables[k].is_integral else v)
+                        for k, v in env.items()
+                    }
+                    if not model.check_point(candidate, tol=1e-5):
+                        cand_env = candidate
+                        cand_obj = float(obj_expr.evaluate(candidate))
+                if cand_env is not None and cand_obj < upper:
+                    upper, incumbent = cand_obj, cand_env
+                continue
+
+            if opt.branch_rule is BranchRule.SOS_FIRST and sos_viol:
+                target = max(sos_viol, key=lambda s: len(s.active_members(env, opt.int_tol)))
+                left, right = split_sos(target, env, node.bounds)
+            else:
+                if frac_name is None:
+                    raise SolverError("no branching candidate on a fractional node")
+                left, right = branch_integer(frac_name, env[frac_name], node.bounds)
+            for child_bounds in (left, right):
+                queue.push(Node(bounds=child_bounds, bound=bound, depth=node.depth + 1, warm=dict(env)))
 
     if reuse is not None:
         reuse.absorb(

@@ -55,7 +55,6 @@ from repro.minlp.relax import MasterLP, _EmptyBox, integer_env
 from repro.minlp.result import MINLPResult, MINLPStatus
 from repro.nlp.barrier import solve_nlp
 from repro.nlp.problem import NLPProblem
-from repro.parallel.executor import ThreadExecutor
 from repro import telemetry
 from repro.telemetry import names as metric
 from repro.util.timing import Stopwatch
@@ -66,43 +65,6 @@ __all__ = ["solve_lpnlp"]
 
 _NL_FEAS_TOL = 1e-6
 _ETA = "_obj_eta"
-
-
-class _LPSpec:
-    """A node LP snapshotted at push time and (maybe) solved off-thread.
-
-    ``num_cuts`` tags the snapshot with the cut-pool size at submission.
-    The pool only grows, so at pop time an unchanged count proves the
-    snapshot equals what ``lp_for_node`` would build right now; a changed
-    count discards the speculation and re-solves inline — the result is
-    bit-identical to serial either way, speculation only trades wasted
-    worker time for latency.  ``empty_box`` records that the node's bound
-    overrides crossed (a property of bounds alone, so it never goes stale).
-    """
-
-    __slots__ = ("num_cuts", "empty_box", "handle")
-
-    def __init__(self, num_cuts, empty_box, handle):
-        self.num_cuts = num_cuts
-        self.empty_box = empty_box
-        self.handle = handle
-
-
-def _solve_spec_lp(lp, options, warm):
-    return solve_lp(lp, options, warm=warm)
-
-
-def _speculate_lp(master: MasterLP, node: Node, opt: MINLPOptions, ex) -> _LPSpec:
-    num_cuts = master.num_cuts
-    try:
-        lp = master.lp_for_node(node.bounds)
-    except _EmptyBox:
-        return _LPSpec(num_cuts, True, None)
-    handle = ex.submit(
-        _solve_spec_lp, lp, opt.lp_options,
-        node.warm if opt.use_warm_start else None,
-    )
-    return _LPSpec(num_cuts, False, handle)
 
 
 def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResult:
@@ -225,192 +187,168 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
         else:
             rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
 
-    # workers > 1: node LPs are solved speculatively on a thread pool at
-    # push time, guarded by the cut-pool version so stale snapshots are
-    # discarded — every consumed result is bit-identical to workers=1.
-    ex = ThreadExecutor(opt.workers) if opt.workers > 1 else None
-
-    def push_node(n: Node) -> None:
-        if ex is not None:
-            n.spec = _speculate_lp(master, n, opt, ex)
-        queue.push(n)
-
     root = Node()
     if plan is not None:
         root.bounds = dict(plan.root_bounds)
         if plan.warm is not None and opt.use_warm_start:
             root.warm = plan.warm
             rz["basis_reused"] = 1
-    push_node(root)
+    queue.push(root)
 
     def cutoff() -> float:
         if not math.isfinite(upper):
             return math.inf
         return upper - max(opt.abs_gap, opt.rel_gap * max(1.0, abs(upper)))
 
-    try:
-        while len(queue):
-            if nodes >= opt.max_nodes:
-                status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
-                break
-            if time.monotonic() - t0 > opt.time_limit:
-                status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
-                break
-            if opt.check_hook is not None and opt.check_hook():
-                status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
-                break
+    while len(queue):
+        if nodes >= opt.max_nodes:
+            status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
+            break
+        if time.monotonic() - t0 > opt.time_limit:
+            status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
+            break
+        if opt.check_hook is not None and opt.check_hook():
+            status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
+            break
 
-            node = queue.pop()
-            spec = node.spec
-            node.spec = None
-            if spec is not None and spec.num_cuts != master.num_cuts:
-                spec = None  # cuts landed after submission: snapshot is stale
-            if node.bound >= cutoff():
-                continue
-            if spec is not None:
-                if spec.empty_box:
-                    continue
-                with sw.phase("lp"), telemetry.span("lpnlp.lp"):
-                    res = spec.handle.result()
-            else:
-                try:
-                    lp = master.lp_for_node(node.bounds)
-                except _EmptyBox:
-                    continue
-                with sw.phase("lp"), telemetry.span("lpnlp.lp"):
-                    res = solve_lp(
-                        lp,
-                        opt.lp_options,
-                        warm=node.warm if opt.use_warm_start else None,
-                    )
-            nodes += 1
-            lp_iterations += res.iterations
-            telemetry.count(metric.MINLP_NODES, solver="lpnlp")
-            telemetry.count(metric.MINLP_LP_ITERATIONS, res.iterations)
-            if reuse is not None and root_warm is None and res.warm is not None:
-                # First solved LP: capture the root basis together with the
-                # cut rows it indexes, for replay by same-structure members.
-                root_warm = res.warm
-                root_cuts = list(master.cuts)
+        node = queue.pop()
+        if node.bound >= cutoff():
+            continue
+        try:
+            lp = master.lp_for_node(node.bounds)
+        except _EmptyBox:
+            continue
+        with sw.phase("lp"), telemetry.span("lpnlp.lp"):
+            res = solve_lp(
+                lp,
+                opt.lp_options,
+                warm=node.warm if opt.use_warm_start else None,
+            )
+        nodes += 1
+        lp_iterations += res.iterations
+        telemetry.count(metric.MINLP_NODES, solver="lpnlp")
+        telemetry.count(metric.MINLP_LP_ITERATIONS, res.iterations)
+        if reuse is not None and root_warm is None and res.warm is not None:
+            # First solved LP: capture the root basis together with the
+            # cut rows it indexes, for replay by same-structure members.
+            root_warm = res.warm
+            root_cuts = list(master.cuts)
 
-            if res.status is LPStatus.INFEASIBLE:
-                continue
-            if res.status is LPStatus.UNBOUNDED:
-                status, message = MINLPStatus.UNBOUNDED, "master LP relaxation unbounded"
-                break
-            if res.status is LPStatus.ITERATION_LIMIT:
-                raise IterationLimitError("node LP hit the simplex iteration limit")
+        if res.status is LPStatus.INFEASIBLE:
+            continue
+        if res.status is LPStatus.UNBOUNDED:
+            status, message = MINLPStatus.UNBOUNDED, "master LP relaxation unbounded"
+            break
+        if res.status is LPStatus.ITERATION_LIMIT:
+            raise IterationLimitError("node LP hit the simplex iteration limit")
 
-            obj_lp = res.objective + master.obj_constant
-            if tracker is not None and node.pc_info is not None:
-                br_name, br_dir, br_frac, parent_obj = node.pc_info
-                tracker.update(br_name, br_dir, br_frac, obj_lp - parent_obj)
-                node.pc_info = None  # cut-round re-solves must not double-count
-            node.bound = obj_lp
-            if obj_lp >= cutoff():
-                continue
-            env = res.value_map(master.names)
-            int_env = integer_env(work, env, opt.int_tol)
-            sos_viol = violated_sos_sets(work, env, opt.int_tol)
+        obj_lp = res.objective + master.obj_constant
+        if tracker is not None and node.pc_info is not None:
+            br_name, br_dir, br_frac, parent_obj = node.pc_info
+            tracker.update(br_name, br_dir, br_frac, obj_lp - parent_obj)
+            node.pc_info = None  # cut-round re-solves must not double-count
+        node.bound = obj_lp
+        if obj_lp >= cutoff():
+            continue
+        env = res.value_map(master.names)
+        int_env = integer_env(work, env, opt.int_tol)
+        sos_viol = violated_sos_sets(work, env, opt.int_tol)
 
-            if int_env is not None and not sos_viol:
-                violated = [
-                    (name, body)
-                    for name, body in nl_bodies
-                    if float(body.evaluate(int_env)) > _NL_FEAS_TOL
-                ]
-                fixings = {
-                    v.name: int_env[v.name] for v in work.integer_variables()
-                }
-                if not violated:
-                    # The LP vertex value depends on which cuts happen to be
-                    # in the pool (t-variables sit on their tangents, slightly
-                    # below the true curves).  Certify the point through the
-                    # fixed-integer NLP instead: its value is a function of
-                    # the integer fixings alone, so incumbents stay
-                    # bit-identical no matter what the pool carried in.
-                    with sw.phase("nlp_fixed"):
-                        cand_env, cand_obj, solved = _solve_fixed_nlp(
-                            work, obj_expr, fixings, opt, cache
-                        )
-                        nlp_solves += solved
-                    if cand_env is None:
-                        # Certification failed at the shared tolerance (rare
-                        # numerical corner): keep the LP-vertex incumbent.
-                        cand_env, cand_obj = int_env, obj_lp
-                    if cand_obj < upper:
-                        upper, incumbent = cand_obj, cand_env
-                    continue  # node fathomed by an improved (or equal) incumbent
-
-                # Integer point violating the nonlinearities: NLP(y-hat) + cuts.
+        if int_env is not None and not sos_viol:
+            violated = [
+                (name, body)
+                for name, body in nl_bodies
+                if float(body.evaluate(int_env)) > _NL_FEAS_TOL
+            ]
+            fixings = {
+                v.name: int_env[v.name] for v in work.integer_variables()
+            }
+            if not violated:
+                # The LP vertex value depends on which cuts happen to be
+                # in the pool (t-variables sit on their tangents, slightly
+                # below the true curves).  Certify the point through the
+                # fixed-integer NLP instead: its value is a function of
+                # the integer fixings alone, so incumbents stay
+                # bit-identical no matter what the pool carried in.
                 with sw.phase("nlp_fixed"):
                     cand_env, cand_obj, solved = _solve_fixed_nlp(
                         work, obj_expr, fixings, opt, cache
                     )
                     nlp_solves += solved
-                if cand_env is not None and cand_obj < upper:
+                if cand_env is None:
+                    # Certification failed at the shared tolerance (rare
+                    # numerical corner): keep the LP-vertex incumbent.
+                    cand_env, cand_obj = int_env, obj_lp
+                if cand_obj < upper:
                     upper, incumbent = cand_obj, cand_env
-                new_cuts = 0
-                for name, body in violated:
+                continue  # node fathomed by an improved (or equal) incumbent
+
+            # Integer point violating the nonlinearities: NLP(y-hat) + cuts.
+            with sw.phase("nlp_fixed"):
+                cand_env, cand_obj, solved = _solve_fixed_nlp(
+                    work, obj_expr, fixings, opt, cache
+                )
+                nlp_solves += solved
+            if cand_env is not None and cand_obj < upper:
+                upper, incumbent = cand_obj, cand_env
+            new_cuts = 0
+            for name, body in violated:
+                try:
+                    cut = linearize_at(body, int_env)
+                except (ValueError, ExpressionError):
+                    continue
+                if master.add_cut(cut):
+                    new_cuts += 1
+                    if reuse is not None:
+                        harvest.append((tag_of[id(body)], cut))
+            if cand_env is not None:
+                for name, body in nl_bodies:
                     try:
-                        cut = linearize_at(body, int_env)
+                        cut = linearize_at(body, cand_env)
                     except (ValueError, ExpressionError):
                         continue
                     if master.add_cut(cut):
                         new_cuts += 1
                         if reuse is not None:
                             harvest.append((tag_of[id(body)], cut))
-                if cand_env is not None:
-                    for name, body in nl_bodies:
-                        try:
-                            cut = linearize_at(body, cand_env)
-                        except (ValueError, ExpressionError):
-                            continue
-                        if master.add_cut(cut):
-                            new_cuts += 1
-                            if reuse is not None:
-                                harvest.append((tag_of[id(body)], cut))
-                cuts_added += new_cuts
-                if new_cuts and node.cut_rounds < opt.max_cut_rounds:
-                    node.cut_rounds += 1
-                    node.warm = res.warm  # dual simplex repairs the new cut rows
-                    push_node(node)
-                # else: convexity guarantees the cuts at int_env cut it off; if
-                # no new cut could be formed the node is numerically exhausted.
-                continue
+            cuts_added += new_cuts
+            if new_cuts and node.cut_rounds < opt.max_cut_rounds:
+                node.cut_rounds += 1
+                node.warm = res.warm  # dual simplex repairs the new cut rows
+                queue.push(node)
+            # else: convexity guarantees the cuts at int_env cut it off; if
+            # no new cut could be formed the node is numerically exhausted.
+            continue
 
-            # Fractional: branch.
-            if opt.branch_rule is BranchRule.SOS_FIRST and sos_viol:
-                target = max(sos_viol, key=lambda s: len(s.active_members(env, opt.int_tol)))
-                left, right = split_sos(target, env, node.bounds)
+        # Fractional: branch.
+        if opt.branch_rule is BranchRule.SOS_FIRST and sos_viol:
+            target = max(sos_viol, key=lambda s: len(s.active_members(env, opt.int_tol)))
+            left, right = split_sos(target, env, node.bounds)
+        else:
+            if tracker is not None:
+                name = tracker.select(work, env, opt.int_tol)
             else:
-                if tracker is not None:
-                    name = tracker.select(work, env, opt.int_tol)
-                else:
-                    name = most_fractional_integer(work, env, opt.int_tol)
-                if name is None:
-                    # All integers integral but an SOS set is violated without a
-                    # fractional member -- cannot happen (see branching module),
-                    # guard anyway.
-                    raise SolverError("no branching candidate on a fractional node")
-                left, right = branch_integer(name, env[name], node.bounds)
-                frac = env[name] - math.floor(env[name])
-                pc_children = ((name, "down", frac), (name, "up", 1.0 - frac))
-                for child_bounds, pc in zip((left, right), pc_children):
-                    push_node(
-                        Node(bounds=child_bounds, bound=obj_lp, depth=node.depth + 1,
-                             warm=res.warm,
-                             pc_info=(pc[0], pc[1], pc[2], obj_lp))
-                    )
-                continue
-            for child_bounds in (left, right):
-                push_node(
+                name = most_fractional_integer(work, env, opt.int_tol)
+            if name is None:
+                # All integers integral but an SOS set is violated without a
+                # fractional member -- cannot happen (see branching module),
+                # guard anyway.
+                raise SolverError("no branching candidate on a fractional node")
+            left, right = branch_integer(name, env[name], node.bounds)
+            frac = env[name] - math.floor(env[name])
+            pc_children = ((name, "down", frac), (name, "up", 1.0 - frac))
+            for child_bounds, pc in zip((left, right), pc_children):
+                queue.push(
                     Node(bounds=child_bounds, bound=obj_lp, depth=node.depth + 1,
-                         warm=res.warm)
+                         warm=res.warm,
+                         pc_info=(pc[0], pc[1], pc[2], obj_lp))
                 )
-    finally:
-        if ex is not None:
-            ex.shutdown()
+            continue
+        for child_bounds in (left, right):
+            queue.push(
+                Node(bounds=child_bounds, bound=obj_lp, depth=node.depth + 1,
+                     warm=res.warm)
+            )
 
     if reuse is not None:
         reuse.absorb(

@@ -31,9 +31,6 @@ class Node:
     # Pseudo-cost bookkeeping: (var_name, "down"|"up", fractional_distance,
     # parent_objective), consumed at this node's first LP solve.
     pc_info: tuple | None = None
-    # Speculative relaxation solve submitted at push time when
-    # ``MINLPOptions.workers > 1``; consumed (or discarded) at pop.
-    spec: object | None = None
 
 
 class NodeQueue:

@@ -55,10 +55,7 @@ class MINLPOptions:
                                    # resilience layer passes Deadline.as_hook())
     max_cut_rounds: int = 40       # OA cut passes per node before forced branch
     use_warm_start: bool = True    # dual-simplex warm starts for node LPs
-    workers: int = 1               # >1 enables speculative sibling-node solves
-                                   # on a thread pool; results stay bit-identical
-                                   # to workers=1 (see docs/parallel.md)
-    evaluator: str = "kernel"      # NLP evaluation back-end: kernel | scalar | tree
+    evaluator: str = "kernel"      # NLP evaluation back-end: kernel | tree
     reuse: object = None           # optional repro.reuse.SolveFamily (duck-typed:
                                    # the solvers only call .plan()/.absorb(), so
                                    # repro.minlp never imports repro.reuse)

@@ -176,6 +176,18 @@ class _Barrier:
                 max_violation=self.p.max_violation(x_start),
             )
 
+        g0 = self.p.g_values(x_start)
+        if np.isnan(g0).any():
+            # A row undefined at the box centre gives the slack no finite
+            # start; iterating from there only ends at a point that is not
+            # feasible, so say so at once.
+            return None, NLPResult(
+                NLPStatus.NUMERICAL_ERROR,
+                message="phase 1 start: a row is undefined at the box centre",
+                newton_iterations=self.newton_iters,
+                max_violation=math.inf,
+            )
+
         s_name = "_phase1_slack"
         while s_name in self.p.index:
             s_name += "_"
@@ -191,7 +203,6 @@ class _Barrier:
             kernel_cache=self.p.kernel_cache,
             evaluator=self.p.evaluator,
         )
-        g0 = self.p.g_values(x_start)
         s0 = float(g0.max(initial=0.0)) + 1.0
         z0 = np.concatenate([x_start, [s0]])
 
@@ -342,10 +353,10 @@ class _Barrier:
         negative and every box distance positive.  Two cases still give a
         derivative Python floats cannot represent where numpy has inf or
         nan: an entry that overflows or a squared row value that underflows
-        to zero (an ``ArithmeticError``), and a phase-1 start at a box
-        centre where a row is undefined, so its slack is nan (a complex
-        entry).  Both return an all-nan step, which every line-search trial
-        rejects.
+        to zero (an ``ArithmeticError``), and a complex entry, which only a
+        row undefined at ``x`` gives (phase 1 answers NUMERICAL_ERROR rather
+        than start at such a point, so this is a guard).  Both return an
+        all-nan step, which every line-search trial rejects.
         """
         self._counters.incr("kernel_grad_evals", self._grad_evals)
         if self._hess_evals:

@@ -11,13 +11,13 @@ same cache to sibling subproblems (the MINLP solvers pass one per solve)
 and structurally identical functions are neither re-differentiated nor
 recompiled; a function that earlier solves compiled twice comes from the
 process-wide core store behind every cache.  ``evaluator`` selects the
-back-end: ``"kernel"`` (default), ``"scalar"`` (one compiled lambda per
-expression — the historical path) or ``"tree"`` (direct ``Expr.evaluate``
+back-end: ``"kernel"`` (default) or ``"tree"`` (direct ``Expr.evaluate``
 walks, the bit-identical reference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,10 +115,17 @@ class NLPProblem:
         return [self._f] + [s for _, s in self._g]
 
     def max_violation(self, x: np.ndarray) -> float:
-        """max(g(x), bound violations, |A_eq x - b|), 0 when feasible."""
+        """max(g(x), bound violations, |A_eq x - b|), 0 when feasible.
+
+        A row that is undefined at ``x`` (numpy's nan) is an infinite
+        violation: ``max(0.0, nan)`` would silently keep 0.0.
+        """
         worst = 0.0
         if self._g:
-            worst = max(worst, float(self.g_values(x).max(initial=0.0)))
+            g_max = float(self.g_values(x).max(initial=0.0))
+            if math.isnan(g_max):
+                return math.inf
+            worst = max(worst, g_max)
         worst = max(worst, float(np.max(self.lb - x, initial=0.0)))
         worst = max(worst, float(np.max(x - self.ub, initial=0.0)))
         if len(self.eq_rows):

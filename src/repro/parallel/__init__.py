@@ -1,7 +1,7 @@
 """Deterministic parallel execution layer.
 
 - :mod:`repro.parallel.executor` — pluggable ``serial``/``thread``/
-  ``process`` backends with submission-order result merging,
+  ``supervised`` backends with submission-order result merging,
 - :mod:`repro.parallel.supervised` — the ``supervised`` backend: monitored
   workers (heartbeats, per-task deadlines), crash/hang detection with
   respawn, bounded retries, and :class:`PoisonedTask` quarantine,
@@ -9,7 +9,7 @@
 - :mod:`repro.parallel.latency` — a job-latency wrapper so speedups are
   measurable against the instant synthetic simulator.
 
-The contract every consumer (gather, the MINLP solvers, grid search, the
+The contract every consumer (gather, grid search, what-if ladders, the
 experiment registry) relies on: with any backend, outputs are bit-identical
 to the serial path.  ``tests/test_parallel`` holds the differential and
 property-based harness that enforces it.
@@ -17,7 +17,6 @@ property-based harness that enforces it.
 
 from repro.parallel.executor import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_scope,
@@ -31,7 +30,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "SupervisedProcessExecutor",
     "PoisonedTask",
     "get_executor",

@@ -1,9 +1,9 @@
-"""Pluggable execution backends: ``serial``, ``thread``, ``process``.
+"""Pluggable execution backends: ``serial``, ``thread``, ``supervised``.
 
-The HSLB loop is embarrassingly parallel in two places — the gather step
-runs independent 5-day benchmarks per component, and branch-and-bound
-evaluates independent sibling subproblems — but parallel schedulers are
-only trustworthy when they are reproducible.  An :class:`Executor` here is
+The HSLB loop is embarrassingly parallel where it runs independent jobs —
+the gather step's 5-day benchmarks per component, a grid search's coupled
+runs, a what-if ladder's layout points — but parallel schedulers are only
+trustworthy when they are reproducible.  An :class:`Executor` here is
 therefore a *deterministic* map: ``map_ordered(fn, payloads)`` returns
 results in **submission order** regardless of completion order (via
 :func:`~repro.parallel.merge.ordered_merge`), and the earliest-submitted
@@ -14,32 +14,22 @@ Backends:
 - :class:`SerialExecutor` — runs tasks inline, in order, stopping at the
   first failure.  This is the default everywhere and is *the* reference
   semantics: the pooled backends are tested to be bit-identical to it.
-- :class:`ThreadExecutor` — a thread pool.  Payloads may share objects with
-  the caller; tasks must only touch thread-safe state (the library's task
-  functions are pure, or touch per-task keys only).
-- :class:`ProcessExecutor` — a process pool.  Task functions and payloads
-  must be picklable (module-level functions, dataclass payloads); workers
-  operate on *copies*, so any state a task mutates must be returned in its
-  result and merged back by the caller.
+- :class:`ThreadExecutor` — a thread pool, the only backend whose tasks
+  share the caller's objects; tasks must only touch thread-safe state (the
+  library's task functions are pure, or touch per-task keys only).
 - ``"supervised"`` — :class:`~repro.parallel.supervised.SupervisedProcessExecutor`,
   a process pool whose workers are monitored (heartbeats, per-task
   deadlines) and respawned after crashes/hangs, with lost tasks retried
-  deterministically.  Same clean-path results, survives SIGKILL'd workers.
-
-``submit`` offers a future-shaped escape hatch for speculative evaluation
-(the MINLP solvers use it for sibling nodes); ``SerialExecutor.submit`` is
-lazy so that unconsumed speculation costs nothing in serial mode.
+  deterministically.  Task functions and payloads must be picklable
+  (module-level functions, dataclass payloads); workers operate on
+  *copies*, so any state a task mutates must be returned in its result and
+  merged back by the caller.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 from repro.exceptions import ConfigurationError, WorkerCrashError
@@ -48,13 +38,12 @@ from repro.parallel.merge import TaskFailure, ordered_merge
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "executor_scope",
     "EXECUTOR_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "thread", "process", "supervised")
+EXECUTOR_KINDS = ("serial", "thread", "supervised")
 
 
 def _default_workers() -> int:
@@ -62,37 +51,11 @@ def _default_workers() -> int:
 
 
 def _guarded(fn, payload):
-    """Run one task, converting its exception into a mergeable value.
-
-    Module-level so process pools can pickle it by reference.
-    """
+    """Run one task, converting its exception into a mergeable value."""
     try:
         return fn(payload)
     except BaseException as exc:  # noqa: BLE001 - re-raised by ordered_merge
         return TaskFailure(exc)
-
-
-class _LazyResult:
-    """``SerialExecutor.submit`` handle: evaluates on first ``result()``.
-
-    Laziness matters: speculative submissions that are never consumed
-    (pruned branch-and-bound children) must cost nothing in serial mode.
-    """
-
-    __slots__ = ("_fn", "_args", "_done", "_value")
-
-    def __init__(self, fn, args):
-        self._fn = fn
-        self._args = args
-        self._done = False
-        self._value = None
-
-    def result(self):
-        if not self._done:
-            self._value = self._fn(*self._args)
-            self._done = True
-            self._fn = self._args = None
-        return self._value
 
 
 class SerialExecutor:
@@ -116,9 +79,6 @@ class SerialExecutor:
             results.append(result)
         return results
 
-    def submit(self, fn, *args) -> _LazyResult:
-        return _LazyResult(fn, args)
-
     def shutdown(self) -> None:
         pass
 
@@ -130,10 +90,10 @@ class SerialExecutor:
         return False
 
 
-class _PoolExecutor:
-    """Shared plumbing for the thread and process backends."""
+class ThreadExecutor:
+    """Thread-pool backend (shared-memory tasks, GIL-releasing workloads)."""
 
-    kind = "pool"
+    kind = "thread"
 
     def __init__(self, workers: int | None = None):
         workers = _default_workers() if workers is None else int(workers)
@@ -142,13 +102,12 @@ class _PoolExecutor:
         self.workers = workers
         self._pool = None
 
-    def _make_pool(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
     @property
     def pool(self):
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-parallel"
+            )
         return self._pool
 
     def map_ordered(self, fn, payloads, progress=None) -> list:
@@ -169,15 +128,15 @@ class _PoolExecutor:
                     outcome = future.result()
                 except Exception as exc:
                     # Task exceptions never reach here (_guarded wraps them);
-                    # this is pool-level damage — a worker SIGKILL'd mid-task
-                    # breaks every in-flight future.  Carrying it as a
-                    # TaskFailure keeps the one rule intact: the *earliest
+                    # this is pool-level damage that breaks in-flight
+                    # futures (a pool shut down under them).  Carrying it as
+                    # a TaskFailure keeps the one rule intact: the *earliest
                     # submitted* loss raises, not whichever future the wait
                     # happened to surface first.
                     broken = True
                     outcome = TaskFailure(
                         WorkerCrashError(
-                            f"worker process lost task {index} "
+                            f"worker thread lost task {index} "
                             f"({type(exc).__name__}: {exc})"
                         )
                     )
@@ -185,13 +144,10 @@ class _PoolExecutor:
                     progress(index, outcome)
                 pairs.append((index, outcome))
         if broken:
-            # The pool is unusable after an abnormal worker exit; drop it so
-            # the next map on this executor starts a fresh one.
+            # The pool is unusable after pool-level damage; drop it so the
+            # next map on this executor starts a fresh one.
             self.shutdown()
         return ordered_merge(pairs, len(payloads))
-
-    def submit(self, fn, *args):
-        return self.pool.submit(fn, *args)
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -206,30 +162,9 @@ class _PoolExecutor:
         return False
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool backend (shared-memory tasks, GIL-releasing workloads)."""
-
-    kind = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-parallel"
-        )
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool backend; task functions and payloads must pickle."""
-
-    kind = "process"
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-
 _BACKENDS = {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
-    "process": ProcessExecutor,
 }
 
 
@@ -261,7 +196,7 @@ def get_executor(spec, workers: int | None = None):
 
 @contextmanager
 def executor_scope(spec, workers: int | None = None):
-    """``with executor_scope("process", 4) as ex: ...``
+    """``with executor_scope("supervised", 4) as ex: ...``
 
     Creates an executor from a name (shut down on exit) or passes an
     existing executor through untouched — library entry points accept

@@ -7,7 +7,7 @@ occupies a partition for minutes.  :class:`LatencySimulator` restores that
 cost at a configurable scale — each measurement call sleeps
 ``scale * simulated_seconds`` (plus ``floor``) before returning — so
 wall-clock speedup measurements mean something.  Sleeping releases the GIL,
-so both the thread and process backends overlap it, exactly like real jobs
+so both the thread and supervised backends overlap it, exactly like real jobs
 waiting in a queue.
 
 The returned *values* are untouched: a latency-wrapped sweep is
@@ -25,7 +25,7 @@ class LatencySimulator:
     """Wrap a simulator so each measurement costs proportional wall-clock.
 
     Picklable as long as the inner simulator is, so it drops into the
-    process backend unchanged.
+    supervised backend unchanged.
     """
 
     def __init__(self, inner, scale: float = 1e-4, floor: float = 0.0):

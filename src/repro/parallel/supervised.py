@@ -1,10 +1,9 @@
 """Supervised process execution: crash/hang detection, respawn, quarantine.
 
-The plain :class:`~repro.parallel.executor.ProcessExecutor` trusts its
-workers: a worker that is SIGKILL'd (OOM killer, preempted node) breaks the
-whole pool, and a worker that wedges holds its task forever.  Fleet-scale
-experiment runs cannot afford either, so this module runs workers under
-*supervision*:
+A plain process pool trusts its workers: a worker that is SIGKILL'd (OOM
+killer, preempted node) breaks the whole pool, and a worker that wedges
+holds its task forever.  Fleet-scale experiment runs cannot afford either,
+so this module runs workers under *supervision*:
 
 - each worker is a long-lived process driven over a duplex pipe, sending a
   **heartbeat** at a fixed interval while it holds a task;
@@ -211,9 +210,8 @@ class _Worker:
 class SupervisedProcessExecutor:
     """Process pool with heartbeats, deadlines, respawn and quarantine.
 
-    Drop-in for the executor contract (``map_ordered``/``submit``/
-    ``shutdown``); ``get_executor("supervised")`` builds one with
-    defaults.  Knobs:
+    Drop-in for the executor contract (``map_ordered``/``shutdown``);
+    ``get_executor("supervised")`` builds one with defaults.  Knobs:
 
     - ``retry_policy`` — re-dispatch budget for *lost* (crashed/hung)
       tasks; ``max_attempts`` counts the first dispatch.  Deterministic
@@ -344,17 +342,6 @@ class SupervisedProcessExecutor:
         completion order (the run journal hooks in here).
         """
         return self._run(fn, payloads, progress=progress, poison=True)
-
-    def submit(self, fn, *args):
-        """Future-shaped escape hatch (lazy, inline).
-
-        Speculative consumers (the MINLP sibling solves) manage their own
-        thread pools; under supervision, speculation degrades to the
-        serial semantics rather than bypassing the supervisor.
-        """
-        from repro.parallel.executor import _LazyResult
-
-        return _LazyResult(fn, args)
 
     # -- supervisor loop ---------------------------------------------------------
 

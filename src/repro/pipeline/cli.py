@@ -359,8 +359,8 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for thread/process backends, and speculative "
-        "MINLP node solves when > 1 (default: CPU count)",
+        help="worker count for the thread/supervised backends "
+        "(default: CPU count)",
     )
 
 

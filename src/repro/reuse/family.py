@@ -503,11 +503,11 @@ def family_map(fn, items, family: SolveFamily | None = None,
     runs against an identical clone of the post-seed snapshot, on the given
     executor; deltas merge back in submission order.  Results — including
     every solver decision — are therefore independent of backend and worker
-    count: ``serial``, ``thread`` and ``process`` all see the same family
-    state for item *k*.
+    count: ``serial``, ``thread`` and ``supervised`` all see the same
+    family state for item *k*.
 
     With ``family=None`` this degrades to a plain deterministic map.  For
-    the ``process`` backend ``fn`` must be a module-level function and
+    the ``supervised`` backend ``fn`` must be a module-level function and
     ``items`` picklable.
     """
     items = list(items)

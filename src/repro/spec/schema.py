@@ -71,20 +71,21 @@ def stamp(payload: dict, kind: str) -> dict:
 def check_schema(payload: dict, kind: str) -> dict:
     """Validate a loaded payload's header; returns the payload.
 
-    Accepts the historical ``repro/<kind>@1`` format strings (written
-    before ``schema_version`` existed) as version 1.  A payload whose
-    ``schema_version`` is *newer* than this library's is rejected with a
-    clear error instead of surfacing as a ``KeyError`` three layers down.
+    The header must be exactly what :func:`stamp` writes: the
+    ``repro/<kind>`` format tag and an integer ``schema_version``.  A
+    payload whose ``schema_version`` is *newer* than this library's is
+    rejected with a clear error instead of surfacing as a ``KeyError``
+    three layers down.
     """
     if not isinstance(payload, dict):
         raise ConfigurationError(f"not a repro/{kind} payload: expected a JSON object")
     fmt = payload.get("format")
     expected = f"repro/{kind}"
-    if fmt != expected and fmt != f"{expected}@1":
+    if fmt != expected:
         raise ConfigurationError(
             f"not a {expected} file (format={fmt!r})"
         )
-    version = payload.get("schema_version", 1)
+    version = payload.get("schema_version")
     if not isinstance(version, int) or version < 1:
         raise ConfigurationError(
             f"{expected}: invalid schema_version {version!r}"

@@ -69,7 +69,7 @@ class TestWhatIfDifferential:
         warm = sweep(perf, bounds, ocn, reuse=SolveFamily(), method=method)
         assert_bit_identical(cold, warm)
 
-    @pytest.mark.parametrize("backend", ("serial", "process"))
+    @pytest.mark.parametrize("backend", ("serial", "supervised"))
     def test_backends_match(self, setting, backend):
         perf, bounds, ocn = setting
         ref = sweep(perf, bounds, ocn, reuse=SolveFamily())
@@ -164,7 +164,7 @@ class TestSwapSweepDifferential:
     def test_process_backend_matches(self, setting):
         ref = self.run_pair(setting, reuse=SolveFamily())
         got = self.run_pair(
-            setting, reuse=SolveFamily(), executor="process", workers=2
+            setting, reuse=SolveFamily(), executor="supervised", workers=2
         )
         for r, g in zip(ref, got):
             assert g.baseline_makespan.hex() == r.baseline_makespan.hex()

@@ -55,12 +55,17 @@ class TestBenchmarkRoundtrip:
         with pytest.raises(ConfigurationError, match="not a repro/benchmarks"):
             benchmark_data_from_dict({"format": "something-else"})
 
-    def test_legacy_format_tag_accepted(self, sample_data):
-        payload = benchmark_data_to_dict(sample_data)
-        payload["format"] = "repro/benchmarks@1"
-        del payload["schema_version"]
-        restored = benchmark_data_from_dict(payload)
-        assert restored.components() == sample_data.components()
+    def test_legacy_format_tag_rejected(self, sample_data):
+        legacy = benchmark_data_to_dict(sample_data)
+        legacy["format"] = "repro/benchmarks@1"
+        del legacy["schema_version"]
+        with pytest.raises(ConfigurationError, match="not a repro/benchmarks"):
+            benchmark_data_from_dict(legacy)
+        # Only those payloads lacked a schema_version; none defaults any more.
+        unversioned = benchmark_data_to_dict(sample_data)
+        del unversioned["schema_version"]
+        with pytest.raises(ConfigurationError, match="invalid schema_version"):
+            benchmark_data_from_dict(unversioned)
 
     def test_future_version_rejected_clearly(self, sample_data):
         payload = benchmark_data_to_dict(sample_data)
@@ -70,7 +75,8 @@ class TestBenchmarkRoundtrip:
 
     def test_unknown_component_rejected(self):
         bad = {
-            "format": "repro/benchmarks@1",
+            "format": "repro/benchmarks",
+            "schema_version": 1,
             "samples": {"volcano": {"nodes": [1], "seconds": [2.0]}},
         }
         with pytest.raises(ConfigurationError, match="unknown component"):
@@ -78,7 +84,8 @@ class TestBenchmarkRoundtrip:
 
     def test_length_mismatch_rejected(self):
         bad = {
-            "format": "repro/benchmarks@1",
+            "format": "repro/benchmarks",
+            "schema_version": 1,
             "samples": {"atm": {"nodes": [1, 2], "seconds": [2.0]}},
         }
         with pytest.raises(ConfigurationError, match="mismatch"):

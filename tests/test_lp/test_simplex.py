@@ -190,6 +190,26 @@ class TestDegenerateAndTricky:
         res = solve_lp(lp, SimplexOptions(max_iterations=0))
         assert res.status is LPStatus.ITERATION_LIMIT
 
+    def test_rows_each_within_tolerance_are_feasible(self):
+        # Each row is violated by 5.96e-08, inside the 1e-7 feasibility
+        # tolerance; only their sum exceeds it.
+        lp = make_lp(
+            [0.0], [-0.5], [-0.5],
+            [[1.192092896e-07], [1.192092896e-07]],
+            [RowSense.GE, RowSense.GE], [0.0, 0.0],
+        )
+        res = solve_lp(lp)
+        assert res.is_optimal, res.message
+        assert res.x[0] == -0.5
+
+    def test_one_row_beyond_tolerance_is_infeasible(self):
+        lp = make_lp(
+            [0.0], [-0.5], [-0.5],
+            [[1.192092896e-07], [4e-07]],
+            [RowSense.GE, RowSense.GE], [0.0, 0.0],
+        )
+        assert solve_lp(lp).status is LPStatus.INFEASIBLE
+
 
 @st.composite
 def random_lp(draw):

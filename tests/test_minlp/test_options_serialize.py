@@ -39,8 +39,7 @@ class TestRoundTrip:
             branch_rule=BranchRule.INTEGER_ONLY,
             var_branch_rule=VarBranchRule.MOST_FRACTIONAL,
             node_selection=NodeSelection.DEPTH_FIRST,
-            workers=4,
-            evaluator="scalar",
+            evaluator="tree",
             lp_options=SimplexOptions(max_iterations=123),
             nlp_options=BarrierOptions(tol=1e-9),
         )
@@ -81,8 +80,11 @@ class TestCanonicalForm:
 
 class TestStrictness:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown option keys"):
-            minlp_options_from_dict({"rel_gap": 1e-6, "rel_gapp": 1e-6})
+        # ``workers`` was a field until speculative node solves were
+        # deleted; payloads that still carry it must fail clearly.
+        for payload in ({"rel_gap": 1e-6, "rel_gapp": 1e-6}, {"workers": 4}):
+            with pytest.raises(ConfigurationError, match="unknown option keys"):
+                minlp_options_from_dict(payload)
 
     def test_unknown_nested_key_rejected(self):
         # ``nlp_options.feas_margin`` was a BarrierOptions field until it was

@@ -239,6 +239,23 @@ class TestPythonFloatEdges:
 
         assert bits(started) == bits(cold)
 
+    def test_undefined_row_at_phase1_start_is_not_certified(self):
+        """Phase 1 starts at the box centre; where a row is undefined there
+        it answers NUMERICAL_ERROR at once instead of iterating to a point
+        that ``max(0.0, nan)`` would have reported as feasible."""
+        x, y = var("x"), var("y")
+        p = NLPProblem(
+            names=["x", "y"], objective=y, inequalities=[("root", x ** 0.5 - y)],
+            lb=np.array([-4.0, -5.0]), ub=np.array([1.0, 5.0]),
+        )
+        with np.errstate(invalid="ignore"):
+            assert p.max_violation(np.array([-1.5, 0.0])) == math.inf
+            res = solve_nlp(p)
+        assert res.status is NLPStatus.NUMERICAL_ERROR
+        assert res.x is None
+        assert res.newton_iterations == 0
+        assert res.max_violation == math.inf
+
 
 class TestHonestStatuses:
     def test_unconverged_never_reports_optimal_garbage(self):

@@ -8,7 +8,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.parallel import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     TaskFailure,
     ThreadExecutor,
@@ -18,7 +17,6 @@ from repro.parallel import (
 )
 
 
-# Module level so the process pool can pickle them by reference.
 @dataclass
 class _Payload:
     value: int
@@ -98,21 +96,8 @@ class TestSerialExecutor:
             SerialExecutor().map_ordered(fn, [1, 2, 3])
         assert ran == [1, 2], "tasks after the failure must never run"
 
-    def test_submit_is_lazy(self):
-        ran = []
 
-        def fn(v):
-            ran.append(v)
-            return v
-
-        handle = SerialExecutor().submit(fn, 5)
-        assert ran == [], "unconsumed speculation must cost nothing"
-        assert handle.result() == 5
-        assert handle.result() == 5  # cached, not re-run
-        assert ran == [5]
-
-
-@pytest.mark.parametrize("backend", [ThreadExecutor, ProcessExecutor])
+@pytest.mark.parametrize("backend", [ThreadExecutor])
 class TestPoolExecutors:
     def test_results_in_submission_order(self, backend):
         payloads = [_Payload(v) for v in range(10)]
@@ -142,7 +127,7 @@ class TestGetExecutor:
     def test_names_resolve(self):
         assert get_executor("serial").kind == "serial"
         assert get_executor("thread", 2).kind == "thread"
-        assert get_executor("process", 2).kind == "process"
+        assert get_executor("supervised", 2).kind == "supervised"
 
     def test_instance_passes_through(self):
         ex = ThreadExecutor(2)

@@ -5,9 +5,9 @@ Two properties carry the whole design:
 - :func:`ordered_merge` is permutation-invariant — completion order can
   never leak into results;
 - the MINLP solvers agree with the exhaustive oracle on random convex
-  performance curves, so the solver the parallel layer speculates inside
-  is itself trustworthy across the input space, not just on the three
-  paper layouts.
+  performance curves, so the solver the parallel layer fans out is itself
+  trustworthy across the input space, not just on the three paper
+  layouts.
 """
 
 import pytest

@@ -28,7 +28,7 @@ def _serial(case_kwargs, pipe_kwargs):
 
 @pytest.mark.parallel
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread", "supervised"])
 class TestBackendWorkerMatrix:
     def test_clean_pipeline(self, backend, workers):
         case_kwargs = dict(resolution="1deg", total_nodes=128)

@@ -1,8 +1,7 @@
 """Supervised executor: crash/hang recovery, quarantine, clean-path parity.
 
-Also home to the abnormal-worker-exit semantics of the *plain* process
-pool: a SIGKILL'd worker breaks every in-flight future, and the one rule —
-the earliest-submitted loss raises — must survive that too.
+Also home to the ordered-merge semantics of lost tasks: the one rule —
+the earliest-submitted loss raises — must survive a worker death too.
 """
 
 import os
@@ -21,7 +20,6 @@ from repro.exceptions import (
 from repro.parallel import (
     EXECUTOR_KINDS,
     PoisonedTask,
-    ProcessExecutor,
     SerialExecutor,
     SupervisedProcessExecutor,
     TaskFailure,
@@ -99,18 +97,6 @@ class TestCleanPathParity:
                 progress=lambda i, r: seen.append((i, r)),
             )
         assert sorted(seen) == [(i, i * i) for i in range(8)]
-
-    def test_submit_is_lazy_like_serial(self):
-        ran = []
-
-        def fn(v):
-            ran.append(v)
-            return v
-
-        handle = SupervisedProcessExecutor(2).submit(fn, 9)
-        assert ran == []
-        assert handle.result() == 9
-        assert ran == [9]
 
 
 class TestTaskExceptions:
@@ -252,24 +238,7 @@ class TestConstruction:
 
 
 class TestAbnormalPoolExit:
-    """Plain ProcessExecutor semantics when a worker dies mid-batch."""
-
-    def test_broken_pool_raises_worker_crash_for_earliest_task(self):
-        # The SIGKILL breaks every in-flight future (BrokenProcessPool),
-        # but what surfaces must still be a typed WorkerCrashError for the
-        # earliest-submitted lost task — not whichever future the wait
-        # happened to see first, and never a raw pool exception.
-        payloads = [_Payload(v) for v in range(8)]
-        with ProcessExecutor(2) as ex:
-            with pytest.raises(WorkerCrashError):
-                ex.map_ordered(_suicide_on_two, payloads)
-
-    def test_pool_is_rebuilt_after_abnormal_exit(self):
-        with ProcessExecutor(2) as ex:
-            with pytest.raises(WorkerCrashError):
-                ex.map_ordered(_suicide_on_two, [_Payload(2)])
-            # The broken pool was dropped; the next map starts fresh.
-            assert ex.map_ordered(_square, [_Payload(3)]) == [9]
+    """Merge semantics of tasks lost to a dying worker."""
 
     def test_ordered_merge_earliest_crash_wins(self):
         pairs = [

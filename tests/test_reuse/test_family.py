@@ -245,7 +245,7 @@ class TestFamilyMap:
             for p in points
         ]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "supervised"])
     def test_backends_match_serial(self, backend):
         ref_family = SolveFamily()
         ref = family_map(_solve_layout_point, self.specs(), family=ref_family)

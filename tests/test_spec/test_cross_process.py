@@ -1,6 +1,6 @@
 """Cross-process parity: specs shipped to process workers solve identically.
 
-ISSUE acceptance: a what-if sweep fanned out to a process pool ships
+A what-if sweep fanned out to the supervised process pool ships
 *specs* (pure JSON-serializable data rebuilt through the builder
 registry), never pickled :class:`~repro.model.Model` objects, and every
 worker's solve matches the serial run bit for bit — same makespan, same
@@ -53,21 +53,21 @@ def test_sweep_payload_is_spec_not_model(calibrated):
         assert isinstance(spec, SolvePointSpec)
         payload = spec.to_dict()
         json.dumps(payload, allow_nan=False)  # pure JSON, no live objects
-        # Pickling the spec (what the process backend actually sends) is
+        # Pickling the spec (what the supervised backend actually sends) is
         # tiny next to pickling a built Model with compiled expressions.
         assert len(pickle.dumps(spec)) < 2_000
 
 
 @pytest.mark.parallel
 def test_process_sweep_node_count_parity(calibrated):
-    """Serial vs process-pool sweep: identical results, independent solves."""
+    """Serial vs supervised-pool sweep: identical results, independent solves."""
     perf, bounds, ocn = calibrated
     kwargs = dict(
         layout=Layout.HYBRID, ocn_allowed=ocn, method="lpnlp", reuse=False
     )
     serial = solve_layout_points(perf, bounds, SIZES, **kwargs)
     shipped = solve_layout_points(
-        perf, bounds, SIZES, executor="process", workers=2, **kwargs
+        perf, bounds, SIZES, executor="supervised", workers=2, **kwargs
     )
     _assert_points_match(shipped, serial)
 
@@ -80,6 +80,6 @@ def test_process_sweep_with_family_matches_serial(calibrated):
     serial = solve_layout_points(perf, bounds, SIZES, reuse=SolveFamily(), **kwargs)
     shipped = solve_layout_points(
         perf, bounds, SIZES, reuse=SolveFamily(),
-        executor="process", workers=2, **kwargs,
+        executor="supervised", workers=2, **kwargs,
     )
     _assert_points_match(shipped, serial)

@@ -4,10 +4,10 @@ The spec subsystem's whole contract (docs/specs.md): for every Table I
 layout case, ``solve(build_from_spec(to_spec(problem)))`` matches the
 in-memory solve bit for bit — same optimum down to the last float bit
 (compared via ``.hex()``), same allocation, same branch-and-bound node
-count — including with a :class:`~repro.reuse.SolveFamily` attached and
-with ``workers>1`` speculative solving on.  Every spec crosses a real
-serialization boundary here (``to_json`` -> ``from_json``) before the
-rebuild, so the battery also covers float round-trip fidelity.
+count — including with a :class:`~repro.reuse.SolveFamily` attached.
+Every spec crosses a real serialization boundary here (``to_json`` ->
+``from_json``) before the rebuild, so the battery also covers float
+round-trip fidelity.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ def _round_trip(spec: LayoutProblemSpec) -> LayoutProblemSpec:
     return shipped
 
 
-def _assert_bit_identical(direct, rebuilt, solver, options=None):
+def _assert_bit_identical(direct, rebuilt, solver):
     """Solve both models fresh and compare every bit that matters."""
-    r_direct = solver(direct, options or MINLPOptions())
-    r_rebuilt = solver(rebuilt, options or MINLPOptions())
+    r_direct = solver(direct, MINLPOptions())
+    r_rebuilt = solver(rebuilt, MINLPOptions())
     assert r_rebuilt.objective.hex() == r_direct.objective.hex()
     for comp in (I, L, A, O):
         name = VAR_NAMES[comp]
@@ -114,22 +114,6 @@ def test_ladder_with_reuse_family_bit_identical(calibrated):
             assert r_rebuilt.solution[name].hex() == r_direct.solution[name].hex()
     # Both families saw the same structures, so the warm pools agree too.
     assert fam_spec.stats()["channels"] == fam_direct.stats()["channels"] == 1
-
-
-def test_workers_gt_one_bit_identical(calibrated):
-    """Spec round-trip of a workers=2 options block changes nothing."""
-    from repro.minlp.options import minlp_options_from_dict, minlp_options_to_dict
-
-    case, fits = calibrated
-    options = MINLPOptions(workers=2)
-    shipped_options = minlp_options_from_dict(
-        json.loads(json.dumps(minlp_options_to_dict(options)))
-    )
-    assert shipped_options == options
-    spec = layout_problem_spec_for_case(case, fits)
-    direct = layout_model_for_case(case, fits)
-    rebuilt = build_layout_model_from_spec(_round_trip(spec))
-    _assert_bit_identical(direct, rebuilt, solve_lpnlp, options=shipped_options)
 
 
 def test_tune_spec_replay_matches_pipeline(calibrated):

@@ -4,13 +4,14 @@ Solves smooth convex problems of the form
 
     minimize    f(x)
     subject to  g_i(x) <= 0            (smooth, convex)
-                A_eq x  = b_eq         (linear)
+                a_k . x = b_k          (linear)
                 l <= x <= u
 
-with a log-barrier interior-point method: the box and the inequality
-constraints enter the barrier, linear equalities are kept exactly in the
-Newton KKT system, and a built-in phase-1 (minimize the maximum violation)
-produces the strictly feasible starting point the barrier needs.  The MINLP
+with a log-barrier interior-point method: the linear equalities are
+substituted out once before the solve (each pivot's bounds become affine
+inequality rows), the box and the inequality constraints enter the
+barrier, and a built-in phase-1 (minimize the maximum violation) produces
+the strictly feasible starting point the barrier needs.  The MINLP
 branch-and-bound layer uses this solver for continuous relaxations and for
 the fixed-integer subproblems NLP(ŷ) of the paper's LP/NLP algorithm.
 """

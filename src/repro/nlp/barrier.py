@@ -2,9 +2,10 @@
 
 Outer loop: minimize ``t*f(x) + phi(x)`` for increasing ``t``, where ``phi``
 is the log barrier of the inequality constraints and the finite box bounds.
-Inner loop: infeasible-start Newton on the KKT residual, which keeps linear
-equality constraints exactly (their residual contracts with every full
-step).  Backtracking line search maintains strict interiority.
+Inner loop: Newton with a ridge-escalated Cholesky direction and a
+backtracking Armijo line search that maintains strict interiority.  Linear
+equality rows never reach it: :func:`solve_nlp` substitutes them out first
+(:meth:`NLPProblem.eliminate_equalities`) and lifts the answer back.
 
 A built-in phase 1 minimizes the max inequality violation through an
 auxiliary slack variable, so callers do not need to hand in a strictly
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.exceptions import InfeasibleError
 from repro.expr.node import VarRef
 from repro.nlp.problem import NLPProblem
 from repro.nlp.result import NLPResult, NLPStatus
@@ -50,6 +52,16 @@ def solve_nlp(
 ) -> NLPResult:
     """Solve ``problem``; returns a result object (statuses, never raises
     for infeasibility)."""
+    if problem.eq_rows:
+        try:
+            reduced, kept, lift = problem.eliminate_equalities()
+        except InfeasibleError as exc:
+            return NLPResult(NLPStatus.INFEASIBLE, message=str(exc))
+        result = solve_nlp(reduced, None if x0 is None else np.asarray(x0, float)[kept], options)
+        if result.x is None:
+            return result
+        x = lift(result.x)  # objective and residual on the caller's problem, rows included
+        return replace(result, x=x, objective=problem.f(x), max_violation=problem.max_violation(x))
     opt = options or BarrierOptions()
     solver = _Barrier(problem, opt)
 
@@ -122,7 +134,7 @@ class _Barrier:
         return True
 
     def box_interior_point(self) -> np.ndarray:
-        """A point strictly inside the box, then projected onto A_eq x = b."""
+        """The box centre; 1 inside a finite bound whose other side is not."""
         lo, hi = self.p.lb, self.p.ub
         x = np.zeros(self.p.n)
         both = self.finite_lb & self.finite_ub
@@ -131,29 +143,6 @@ class _Barrier:
         x[only_lo] = lo[only_lo] + 1.0
         only_hi = ~self.finite_lb & self.finite_ub
         x[only_hi] = hi[only_hi] - 1.0
-        # Project onto the equality subspace, then pull back strictly inside
-        # the box if the projection grazed a face (alternate a few rounds).
-        for _ in range(20):
-            if len(self.p.eq_rows):
-                A, b = self.p.A_eq, self.p.b_eq
-                resid = A @ x - b
-                if np.abs(resid).max(initial=0.0) > 1e-12:
-                    correction, *_ = np.linalg.lstsq(A, resid, rcond=None)
-                    x = x - correction
-            inside = True
-            for j in range(self.p.n):
-                width = min(
-                    1.0,
-                    (hi[j] - lo[j]) * 0.25 if both[j] else 1.0,
-                )
-                if self.finite_lb[j] and x[j] < lo[j] + 1e-9:
-                    x[j] = lo[j] + width
-                    inside = False
-                if self.finite_ub[j] and x[j] > hi[j] - 1e-9:
-                    x[j] = hi[j] - width
-                    inside = False
-            if inside:
-                break
         return x
 
     # -- phase 1 -----------------------------------------------------------------
@@ -168,11 +157,10 @@ class _Barrier:
         if self.strictly_feasible(x_start):
             return x_start, None
         if not self.p.inequalities:
-            # Only box/equalities: the projected interior point is as good as
-            # it gets; failure means the equalities clash with the box.
+            # Only a box, and its centre is not strictly inside it.
             return None, NLPResult(
                 NLPStatus.INFEASIBLE,
-                message="equality rows incompatible with variable bounds",
+                message="a box is narrower than the interiority margin",
                 max_violation=self.p.max_violation(x_start),
             )
 
@@ -199,7 +187,6 @@ class _Barrier:
             ],
             lb=np.concatenate([self.p.lb, [-np.inf]]),
             ub=np.concatenate([self.p.ub, [np.inf]]),
-            eq_rows=list(self.p.eq_rows),
             kernel_cache=self.p.kernel_cache,
             evaluator=self.p.evaluator,
         )
@@ -247,7 +234,7 @@ class _Barrier:
         failed_stages = 0
         # Last cleanly-centered stage: its objective minus its duality-gap
         # proxy is a *certified* lower bound even if later stages stall.
-        clean_f, clean_gap, clean_x = None, math.inf, None
+        clean_f, clean_gap = None, math.inf
         while True:
             x, ok, msg = self._center(x, t, stop_idx, stop_below)
             if stop_idx is not None and x[stop_idx] < stop_below:
@@ -263,11 +250,6 @@ class _Barrier:
                     and clean_gap <= max(opt.tol * 100.0, 1e-5) * (1.0 + abs(clean_f))
                 )
                 if tight_enough:
-                    # The certificate belongs to the cleanly-centered
-                    # iterate; a stalled stage (singular KKT, lstsq step)
-                    # may have drifted off the equality manifold.
-                    if self.p.max_violation(x) > self.p.max_violation(clean_x) + 1e-9:
-                        x = clean_x
                     message = f"finished on stall with certified gap {clean_gap:.2e}"
                     break
                 if failed_stages >= 3 or self.newton_iters >= opt.max_newton:
@@ -277,7 +259,6 @@ class _Barrier:
                 failed_stages = 0
                 clean_f = self.p.f(x)
                 clean_gap = self.m_barrier / t if t > 0 else 0.0
-                clean_x = x.copy()
                 if self.m_barrier == 0 or self.m_barrier / t < opt.tol:
                     break
             t *= opt.mu
@@ -443,8 +424,9 @@ class _Barrier:
         n = grad.shape[0]
         # abs: a negative-trace (indefinite) Hessian must not flip the
         # ridge scale negative — that would poison the last-resort
-        # preconditioner below into an ascent direction.
-        scale = abs(float(H.trace())) / n + 1.0
+        # preconditioner below into an ascent direction.  n is 0 when
+        # equality rows determine every variable.
+        scale = abs(float(H.trace())) / max(n, 1) + 1.0
         ridge = self.opt.regularization * scale
         for _ in range(24):
             try:
@@ -497,9 +479,6 @@ class _Barrier:
         stage's starting point is evaluated on its own.
         """
         opt = self.opt
-        p = self.p
-        m_eq = len(p.eq_rows)
-        nu = np.zeros(m_eq)
         stage_iters = 0
         best_res = np.inf
         best_merit = np.inf
@@ -509,35 +488,19 @@ class _Barrier:
             if stage_iters >= opt.max_newton_per_center:
                 return x, False, "per-stage Newton budget exhausted"
             grad, H = self._grad_hess(x, t)
-            if m_eq:
-                r_dual = grad + p.A_eq.T @ nu
-                r_prim = p.A_eq @ x - p.b_eq
-                KKT = np.block([[H, p.A_eq.T], [p.A_eq, np.zeros((m_eq, m_eq))]])
-                rhs = -np.concatenate([r_dual, r_prim])
-                try:
-                    sol = np.linalg.solve(KKT, rhs)
-                except np.linalg.LinAlgError:
-                    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-                dx, dnu = sol[: p.n], sol[p.n :]
-                res_norm = float(np.linalg.norm(np.concatenate([r_dual, r_prim])))
-                decrement = res_norm
-            else:
-                dx, decrement = self._newton_direction(grad, H)
-                dnu = np.zeros(0)
-                res_norm = float(np.linalg.norm(grad))
-                slope = float(grad @ dx)
+            dx, decrement = self._newton_direction(grad, H)
+            res_norm = float(np.linalg.norm(grad))
+            slope = float(grad @ dx)
 
             # Convergence: a genuinely small decrement together with a
             # gradient that is small relative to the stage weight.
-            if not m_eq and decrement / 2.0 <= opt.inner_tol and res_norm <= 1e-4 * (
+            if decrement / 2.0 <= opt.inner_tol and res_norm <= 1e-4 * (
                 1.0 + abs(t)
             ):
                 return x, True, ""
-            if m_eq and res_norm <= 1e-8 * (1.0 + abs(t)):
-                return x, True, ""
-            # Stall guard: progress means either the residual or the barrier
-            # merit moved meaningfully (a productive crawl keeps lowering the
-            # merit long before the residual contracts).
+            # Stall guard: progress means either the gradient norm or the
+            # barrier merit moved meaningfully (a productive crawl keeps
+            # lowering the merit long before the gradient contracts).
             if merit_now is None:
                 merit_now = self._barrier_value(x, t)
             improved = res_norm < best_res * (1.0 - 1e-3) or (
@@ -552,40 +515,29 @@ class _Barrier:
                 if since_progress >= opt.stall_window:
                     return x, False, "centering stalled"
 
-            # Backtracking line search keeping strict interiority and
-            # decreasing the merit (barrier value, or KKT residual when
-            # equality-infeasible).  Start at the fraction-to-boundary step
-            # for the box: a deep-interior start with a weak Hessian yields
-            # huge Newton directions, and backtracking from alpha=1 through
-            # dozens of infinite-merit trials is what makes cold starts
-            # crawl — jumping to 99.5% of the exact box distance first makes
-            # those steps land in one or two trials.
+            # Backtracking Armijo line search keeping strict interiority.
+            # Start at the fraction-to-boundary step for the box: a
+            # deep-interior start with a weak Hessian yields huge Newton
+            # directions, and backtracking from alpha=1 through dozens of
+            # infinite-merit trials is what makes cold starts crawl — jumping
+            # to 99.5% of the exact box distance first makes those steps land
+            # in one or two trials.
             alpha = min(1.0, 0.995 * self._max_box_step(x, dx))
             base_merit = merit_now
             accepted = False
             for _ in range(60):
                 x_new = x + alpha * dx
-                nu_new = nu + alpha * dnu
                 merit = self._barrier_value(x_new, t)
                 if math.isfinite(merit):
-                    if m_eq:
-                        grad_n, _ = self._grad_hess(x_new, t)
-                        rd = grad_n + p.A_eq.T @ nu_new
-                        rp = p.A_eq @ x_new - p.b_eq
-                        new_res = float(np.linalg.norm(np.concatenate([rd, rp])))
-                        if new_res <= (1.0 - opt.armijo * alpha) * res_norm + 1e-14:
-                            accepted = True
-                            break
-                    else:
-                        if merit <= base_merit + opt.armijo * alpha * slope + 1e-14:
-                            accepted = True
-                            break
+                    if merit <= base_merit + opt.armijo * alpha * slope + 1e-14:
+                        accepted = True
+                        break
                 alpha *= opt.backtrack
             self.newton_iters += 1
             stage_iters += 1
             if not accepted:
                 return x, False, "line search stalled"
-            x, nu, merit_now = x_new, nu_new, merit
+            x, merit_now = x_new, merit
             if stop_idx is not None and x[stop_idx] < stop_below:
                 return x, True, ""
         return x, False, "Newton iteration limit"

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import ModelError
-from repro.expr.node import Expr
+from repro.exceptions import InfeasibleError, ModelError
+from repro.expr.node import Add, Const, Expr, VarRef
+from repro.expr.substitute import substitute
 from repro.kernels import KernelCache, SmoothKernel
 
 #: Re-exported for the issue-facing name: the smooth-function evaluator the
@@ -33,13 +34,14 @@ _Smooth = SmoothKernel
 
 @dataclass
 class NLPProblem:
-    """``min f(x) s.t. g(x) <= 0, A_eq x = b_eq, l <= x <= u``.
+    """``min f(x) s.t. g(x) <= 0, sum(coeffs * x) = rhs, l <= x <= u``.
 
     ``names`` fixes the variable ordering used by all dense arrays.
-    ``eq_rows`` is a list of ``(coeffs_dict, rhs)`` linear equalities.
-    ``kernel_cache`` shares compiled evaluators between related problems
-    (a private cache is created when omitted); ``evaluator`` picks the
-    evaluation back-end (see the module docstring).
+    ``eq_rows`` is a list of ``(coeffs_dict, rhs)`` linear equalities; the
+    barrier never sees them: :meth:`eliminate_equalities` substitutes them
+    out before a solve.  ``kernel_cache`` shares compiled evaluators
+    between related problems (a private cache is created when omitted);
+    ``evaluator`` picks the evaluation back-end (see the module docstring).
     """
 
     names: list
@@ -73,6 +75,10 @@ class NLPProblem:
         missing = self.objective.variables() - known
         if missing:
             raise ModelError(f"objective uses unknown variables {sorted(missing)}")
+        for i, (coeffs, _) in enumerate(self.eq_rows):
+            missing = coeffs.keys() - known
+            if missing:
+                raise ModelError(f"equality row {i} uses unknown variables {sorted(missing)}")
         if self.kernel_cache is None:
             self.kernel_cache = KernelCache()
         cache = self.kernel_cache
@@ -81,17 +87,6 @@ class NLPProblem:
             (label, cache.smooth(body, self.index, evaluator=self.evaluator))
             for label, body in self.inequalities
         ]
-
-        # Dense equality matrix.
-        m = len(self.eq_rows)
-        self.A_eq = np.zeros((m, n))
-        self.b_eq = np.zeros(m)
-        for i, (coeffs, rhs) in enumerate(self.eq_rows):
-            for name, coef in coeffs.items():
-                if name not in self.index:
-                    raise ModelError(f"equality row {i} uses unknown variable {name!r}")
-                self.A_eq[i, self.index[name]] = coef
-            self.b_eq[i] = rhs
 
     # -- numeric interface used by the barrier solver ---------------------------
 
@@ -115,7 +110,7 @@ class NLPProblem:
         return [self._f] + [s for _, s in self._g]
 
     def max_violation(self, x: np.ndarray) -> float:
-        """max(g(x), bound violations, |A_eq x - b|), 0 when feasible.
+        """max(g(x), bound violations, equality residuals), 0 when feasible.
 
         A row that is undefined at ``x`` (numpy's nan) is an infinite
         violation: ``max(0.0, nan)`` would silently keep 0.0.
@@ -128,6 +123,98 @@ class NLPProblem:
             worst = max(worst, g_max)
         worst = max(worst, float(np.max(self.lb - x, initial=0.0)))
         worst = max(worst, float(np.max(x - self.ub, initial=0.0)))
-        if len(self.eq_rows):
-            worst = max(worst, float(np.abs(self.A_eq @ x - self.b_eq).max()))
+        for coeffs, rhs in self.eq_rows:
+            worst = max(worst, abs(sum(c * float(x[self.index[k]]) for k, c in coeffs.items()) - rhs))
         return worst
+
+    def eliminate_equalities(self):
+        """``(reduced, kept, lift)``: this problem with every equality row
+        substituted out, the positions of its variables in ``names`` and the
+        map from its points back to ours.  Pivots avoid the objective's and
+        the inequalities' variables where they can, so those kernels stay
+        (docs/solvers.md).  Raises :class:`InfeasibleError` when a row
+        reduces to a nonzero constant or a box empties.
+        """
+        occurring = self.objective.variables().union(
+            *(body.variables() for _, body in self.inequalities)
+        )
+        # pivot -> (row, a, r): a * pivot + sum(row[k] * k) = r, no k a pivot.
+        pivots: dict = {}
+        for i, (coeffs, rhs) in enumerate(self.eq_rows):
+            row, r = {k: c for k, c in coeffs.items() if abs(c) > _ZERO_TOL}, float(rhs)
+            for p, (p_row, p_a, p_r) in pivots.items():
+                if p in row:
+                    r = _subtract(row, r, row.pop(p) / p_a, p_row, p_r)
+            if not row:
+                if abs(r) > _ZERO_TOL:
+                    raise InfeasibleError(f"equality row {i} reduces to 0 = {r:.6g}")
+                continue
+            q = min(row, key=lambda k: (k in occurring, -abs(row[k]), self.index[k]))
+            a = row.pop(q)
+            for p, (p_row, p_a, p_r) in pivots.items():
+                if q in p_row:
+                    pivots[p] = (p_row, p_a, _subtract(p_row, p_r, p_row.pop(q) / a, row, r))
+            pivots[q] = (row, a, r)
+
+        lb, ub = self.lb.tolist(), self.ub.tolist()
+        bound_rows = []
+        for p, (row, a, r) in pivots.items():
+            # a * p = r - L with L = sum(row[k] * k): p's box bounds L.
+            lo, hi = sorted((r - a * lb[self.index[p]], r - a * ub[self.index[p]]))
+            if len(row) == 1:
+                (k, c), = row.items()
+                j = self.index[k]
+                lo, hi = sorted((lo / c, hi / c))
+                lb[j], ub[j] = max(lb[j], lo), min(ub[j], hi)
+                if lb[j] >= ub[j]:
+                    raise InfeasibleError(f"equality rows empty the box of {k}")
+            elif not row and (lo > _ZERO_TOL or hi < -_ZERO_TOL):
+                raise InfeasibleError(f"equality rows put {p} outside its bounds")
+            elif row:  # L - hi <= 0 and lo - L <= 0, where finite
+                bound_rows += [(f"{p}_bound", _affine({k: s * c for k, c in row.items()}, -s * e))
+                               for s, e in ((1.0, hi), (-1.0, lo)) if math.isfinite(e)]
+        kept = [j for j, name in enumerate(self.names) if name not in pivots]
+
+        bindings = {p: _affine({k: -c / a for k, c in row.items()}, r / a)
+                    for p, (row, a, r) in pivots.items() if p in occurring}
+
+        def bind(expr):
+            return substitute(expr, bindings) if expr.variables() & bindings.keys() else expr
+
+        reduced = NLPProblem(
+            names=[self.names[j] for j in kept],
+            objective=bind(self.objective),
+            inequalities=[(label, bind(b)) for label, b in self.inequalities] + bound_rows,
+            lb=[lb[j] for j in kept],
+            ub=[ub[j] for j in kept],
+            kernel_cache=self.kernel_cache,
+            evaluator=self.evaluator,
+        )
+
+        def lift(z: np.ndarray) -> np.ndarray:
+            x = np.empty(self.n)
+            x[kept] = z
+            for p, (row, a, r) in pivots.items():
+                x[self.index[p]] = (r - sum(c * x[self.index[k]] for k, c in row.items())) / a
+            return x
+
+        return reduced, kept, lift
+
+
+#: Coefficients and constants of eliminated rows within this of zero are zero.
+_ZERO_TOL = 1e-9
+
+
+def _subtract(row: dict, r: float, f: float, other: dict, other_r: float) -> float:
+    """``(row, r) -= f * (other, other_r)`` in place, dropping coefficients
+    that cancel to within ``_ZERO_TOL``; returns the new ``r``."""
+    for k, c in other.items():
+        row[k] = row.get(k, 0.0) - f * c
+        if abs(row[k]) <= _ZERO_TOL:
+            del row[k]
+    return r - f * other_r
+
+
+def _affine(coeffs: dict, constant: float) -> Expr:
+    """``sum(coeffs[k] * k) + constant`` as an expression."""
+    return Add(tuple(Const(c) * VarRef(k) for k, c in coeffs.items()) + (Const(constant),))

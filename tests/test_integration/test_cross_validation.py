@@ -7,7 +7,7 @@ and corrupted inputs must fail loudly instead of silently degrading."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cesm import ComponentId, CoupledRunSimulator, Layout, make_case
@@ -45,8 +45,28 @@ def random_layout_instance(draw):
     return perf, N, ocn_allowed
 
 
+#: A drawn instance whose NLP B&B relaxations all carry the ocean set's
+#: progression row ``n_ocn - 7 * z_ocn_idx = 8``.  While the barrier kept
+#: that row in its Newton system, NLP B&B ran out of the 120 s budget after
+#: 1,187 nodes on a 2-vCPU host (the 480 s retry certified it in 1,697
+#: nodes and 159 s).  With the row substituted out it certifies in 73
+#: nodes and under a second, at LP/NLP's objective.
+PINNED_DRAW = (
+    {
+        I: PerfModel(a=861.8226551688624, c=1.5010550555933553),
+        L: PerfModel(a=176.03182494965495, b=0.2550687331512504,
+                     c=1.3023443856518255, d=10.51987386607822),
+        A: PerfModel(a=1302.562, b=0.4994509220899834, c=1.5341284634680346),
+        O: PerfModel(a=3953.8564091351786, c=1.2204525036795266),
+    },
+    37,
+    [15, 8],
+)
+
+
 class TestSolverAgreementProperty:
     @given(instance=random_layout_instance())
+    @example(instance=PINNED_DRAW)
     @settings(max_examples=20, deadline=None)
     def test_lpnlp_matches_oracle(self, instance):
         perf, N, ocn_allowed = instance
@@ -80,6 +100,7 @@ class TestSolverAgreementProperty:
         )
 
     @given(instance=random_layout_instance())
+    @example(instance=PINNED_DRAW)
     @settings(max_examples=8, deadline=None)
     def test_nlp_bnb_matches_oracle(self, instance):
         perf, N, ocn_allowed = instance

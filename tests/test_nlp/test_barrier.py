@@ -75,6 +75,13 @@ class TestUnconstrainedAndBox:
         assert res.is_optimal
         np.testing.assert_allclose(res.x, [2.0, -1.0], atol=1e-4)
 
+    def test_box_narrower_than_the_interiority_margin(self):
+        x = var("x")
+        p = NLPProblem(["x"], x, [], np.array([0.0]), np.array([1e-10]))
+        res = solve_nlp(p)
+        assert res.status is NLPStatus.INFEASIBLE
+        assert "narrower than the interiority margin" in res.message
+
 
 class TestInequalityConstrained:
     def test_active_constraint(self):
@@ -197,6 +204,43 @@ class TestEqualityConstrained:
         res = solve_nlp(p)
         assert res.is_optimal
         assert res.objective == pytest.approx(2.0, abs=1e-3)
+
+    @staticmethod
+    def _square(eq_rows):
+        """min (x-3)^2 + (y-3)^2 over [0, 10]^2 subject to ``eq_rows``."""
+        x, y = var("x"), var("y")
+        return NLPProblem(
+            names=["x", "y"],
+            objective=(x - 3) ** 2 + (y - 3) ** 2,
+            inequalities=[],
+            lb=np.array([0.0, 0.0]),
+            ub=np.array([10.0, 10.0]),
+            eq_rows=eq_rows,
+        )
+
+    def test_contradictory_rows_are_infeasible(self):
+        res = solve_nlp(self._square([
+            ({"x": 1.0, "y": 1.0}, 2.0),
+            ({"x": 1.0, "y": 1.0}, 3.0),
+        ]))
+        assert res.status is NLPStatus.INFEASIBLE
+        assert res.x is None
+        assert res.newton_iterations == 0
+
+    def test_row_outside_the_box_is_infeasible(self):
+        res = solve_nlp(self._square([({"x": 1.0, "y": 1.0}, 30.0)]))
+        assert res.status is NLPStatus.INFEASIBLE
+        assert res.x is None
+        assert res.newton_iterations == 0
+
+    def test_rows_that_determine_every_variable(self):
+        res = solve_nlp(self._square([
+            ({"x": 1.0, "y": 1.0}, 2.0),
+            ({"x": 1.0, "y": -1.0}, 0.0),
+        ]))
+        assert res.is_optimal
+        np.testing.assert_allclose(res.x, [1.0, 1.0])
+        assert res.objective == pytest.approx(8.0)
 
 
 class TestKKTProperty:

@@ -116,9 +116,9 @@ class TestNewtonDirection:
 
 
 class TestLinAlgErrorRecovery:
-    """The two np.linalg.LinAlgError branches must recover, not crash:
-    Cholesky failure in _newton_direction (escalating ridge) and a singular
-    KKT system in _center (least-squares fallback)."""
+    """A Cholesky failure in _newton_direction must recover (escalating
+    ridge), not crash; and a linearly dependent equality row must be
+    dropped before the Newton loop, not make its system singular."""
 
     def test_cholesky_failure_escalates_ridge_to_descent(self):
         p = coupled_relaxation()
@@ -140,10 +140,10 @@ class TestLinAlgErrorRecovery:
         assert np.all(np.isfinite(dx))
         assert dec > 0.0
 
-    def test_singular_kkt_falls_back_to_lstsq(self):
-        """Duplicated equality rows make the KKT matrix exactly singular;
-        _center must fall back to the least-squares solve and still
-        converge to the constrained optimum."""
+    def test_dependent_row_is_dropped(self):
+        """Once the first row is substituted out, its exact duplicate
+        reduces to 0 = 0 and is dropped; the solve still converges to the
+        constrained optimum."""
         x1, x2 = var("x1"), var("x2")
         p = NLPProblem(
             names=["x1", "x2"],
@@ -153,9 +153,12 @@ class TestLinAlgErrorRecovery:
             ub=np.array([10.0, 10.0]),
             eq_rows=[
                 ({"x1": 1.0, "x2": 1.0}, 4.0),
-                ({"x1": 1.0, "x2": 1.0}, 4.0),  # exact duplicate -> singular
+                ({"x1": 1.0, "x2": 1.0}, 4.0),  # exact duplicate
             ],
         )
+        reduced, kept, _ = p.eliminate_equalities()
+        assert reduced.names == ["x2"] and kept == [1]
+        assert not reduced.inequalities  # x1's bounds only tighten x2's box
         res = solve_nlp(p, x0=np.array([2.0, 2.0]))
         assert res.is_optimal
         # min (x1-2)^2 + (x2-3)^2 s.t. x1+x2=4 -> (1.5, 2.5)
@@ -365,9 +368,6 @@ class _ReferenceBarrier(_Barrier):
 
     def _center(self, x: np.ndarray, t: float, stop_idx, stop_below: float = -1e-6):
         opt = self.opt
-        p = self.p
-        m_eq = len(p.eq_rows)
-        nu = np.zeros(m_eq)
         stage_iters = 0
         best_res = np.inf
         best_merit = np.inf
@@ -376,28 +376,12 @@ class _ReferenceBarrier(_Barrier):
             if stage_iters >= opt.max_newton_per_center:
                 return x, False, "per-stage Newton budget exhausted"
             grad, H = self._grad_hess(x, t)
-            if m_eq:
-                r_dual = grad + p.A_eq.T @ nu
-                r_prim = p.A_eq @ x - p.b_eq
-                KKT = np.block([[H, p.A_eq.T], [p.A_eq, np.zeros((m_eq, m_eq))]])
-                rhs = -np.concatenate([r_dual, r_prim])
-                try:
-                    sol = np.linalg.solve(KKT, rhs)
-                except np.linalg.LinAlgError:
-                    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-                dx, dnu = sol[: p.n], sol[p.n :]
-                res_norm = float(np.linalg.norm(np.concatenate([r_dual, r_prim])))
-                decrement = res_norm
-            else:
-                dx, decrement = self._newton_direction(grad, H)
-                dnu = np.zeros(0)
-                res_norm = float(np.linalg.norm(grad))
+            dx, decrement = self._newton_direction(grad, H)
+            res_norm = float(np.linalg.norm(grad))
 
-            if not m_eq and decrement / 2.0 <= opt.inner_tol and res_norm <= 1e-4 * (
+            if decrement / 2.0 <= opt.inner_tol and res_norm <= 1e-4 * (
                 1.0 + abs(t)
             ):
-                return x, True, ""
-            if m_eq and res_norm <= 1e-8 * (1.0 + abs(t)):
                 return x, True, ""
             merit_now = self._barrier_value(x, t)
             improved = res_norm < best_res * (1.0 - 1e-3) or (
@@ -417,27 +401,17 @@ class _ReferenceBarrier(_Barrier):
             accepted = False
             for _ in range(60):
                 x_new = x + alpha * dx
-                nu_new = nu + alpha * dnu
                 merit = self._barrier_value(x_new, t)
                 if np.isfinite(merit):
-                    if m_eq:
-                        grad_n, _ = self._grad_hess(x_new, t)
-                        rd = grad_n + p.A_eq.T @ nu_new
-                        rp = p.A_eq @ x_new - p.b_eq
-                        new_res = float(np.linalg.norm(np.concatenate([rd, rp])))
-                        if new_res <= (1.0 - opt.armijo * alpha) * res_norm + 1e-14:
-                            accepted = True
-                            break
-                    else:
-                        if merit <= base_merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
-                            accepted = True
-                            break
+                    if merit <= base_merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
+                        accepted = True
+                        break
                 alpha *= opt.backtrack
             self.newton_iters += 1
             stage_iters += 1
             if not accepted:
                 return x, False, "line search stalled"
-            x, nu = x_new, nu_new
+            x = x_new
             if stop_idx is not None and x[stop_idx] < stop_below:
                 return x, True, ""
         return x, False, "Newton iteration limit"
@@ -499,7 +473,8 @@ def _assert_same_as_reference(problem, x0=None, options=None):
 
 def table1_relaxation(layout: Layout) -> NLPProblem:
     """Root relaxation of a 1-degree Table I layout model on the true curves
-    (it keeps one equality row, so the equality branch runs)."""
+    (it keeps one equality row, which ``solve_nlp`` substitutes out before
+    either barrier runs)."""
     truth = ground_truth("1deg")
     case = make_case("1deg", 128, layout=layout, seed=0)
     model = layout_model_for_case(case, {c: truth[c].law for c in (I, L, A, O)})
@@ -589,7 +564,7 @@ class TestMeritCarry:
     def test_drawn_problems_bit_identical(self, case):
         _assert_same_as_reference(*case)
 
-    def test_drawn_family_reaches_equality_phase1_and_stall_paths(self):
+    def test_row_holds_through_phase1_and_stall_paths(self):
         curves = [
             PerfModel(a=900.0, d=5.0),
             PerfModel(a=300.0, b=1e-3, c=1.5, d=2.0),
@@ -601,7 +576,7 @@ class TestMeritCarry:
         assert tally.barriers == 2  # the box center breaks the budget: phase 1
         assert bits[0] is NLPStatus.OPTIMAL
         x = np.frombuffer(bits[1])
-        assert math.isclose(x[1] + x[2], 40.0, abs_tol=1e-6)
+        assert math.isclose(x[1] + x[2], 40.0, abs_tol=1e-9)  # n0 + n1 = eq_sum
 
         bits, tally = _assert_same_as_reference(
             *epigraph_problem(curves[:1], 64.0, start="interior", options=STALLING)

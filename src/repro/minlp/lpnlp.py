@@ -10,10 +10,10 @@ Algorithm sketch, following the paper's own description:
 3.  Prune nodes whose LP value exceeds the incumbent; branch on fractional
     integers — or, preferentially, on violated special-ordered sets.
 4.  When an LP solution satisfies integrality, check the true nonlinear
-    constraints.  If violated, solve the fixed-integer NLP(ŷ) with the
-    barrier solver, harvest an incumbent, linearize the violated
-    constraints at both points, and re-solve the node with the tightened
-    relaxation.
+    constraints.  If violated, solve the fixed-integer NLP(ŷ) (with the
+    simplex when fixing the integers left it linear, else with the barrier
+    solver), harvest an incumbent, linearize the violated constraints at
+    both points, and re-solve the node with the tightened relaxation.
 
 Under the convexity certificate (positive a, b, d make the performance
 functions convex) every cut is an outer approximation, so the search is
@@ -53,7 +53,7 @@ from repro.minlp.nlpbuild import build_nlp
 from repro.minlp.options import BranchRule, MINLPOptions, VarBranchRule
 from repro.minlp.relax import MasterLP, _EmptyBox, integer_env
 from repro.minlp.result import MINLPResult, MINLPStatus
-from repro.nlp.barrier import solve_nlp
+from repro.nlp.barrier import box_interior_point, solve_nlp
 from repro.nlp.problem import NLPProblem
 from repro import telemetry
 from repro.telemetry import names as metric
@@ -438,7 +438,7 @@ def _initial_point(work: Model, obj_expr, nl_bodies, opt: MINLPOptions,
                    cache: KernelCache | None = None):
     """A linearization seed: solve the NLP relaxation *restricted to the
     variables that appear nonlinearly* (plus linear rows fully supported by
-    them).  Falls back to box midpoints when the barrier fails.
+    them).  Falls back to the box centre when the barrier fails.
 
     Restricting keeps the seed solve small even when the model carries
     thousands of set-choice binaries — those appear only in linear rows and
@@ -466,7 +466,7 @@ def _initial_point(work: Model, obj_expr, nl_bodies, opt: MINLPOptions,
 
     lb = np.array([work.variables[n].lb for n in support])
     ub = np.array([work.variables[n].ub for n in support])
-    fallback = _box_midpoint(lb, ub)
+    fallback = box_interior_point(lb, ub)
     try:
         problem = NLPProblem(
             names=support,
@@ -492,24 +492,16 @@ def _negate(body):
     return simplify(-body)
 
 
-def _box_midpoint(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    mid = np.empty_like(lb)
-    for j in range(lb.size):
-        lo, hi = lb[j], ub[j]
-        if math.isfinite(lo) and math.isfinite(hi):
-            mid[j] = 0.5 * (lo + hi)
-        elif math.isfinite(lo):
-            mid[j] = lo + 1.0
-        elif math.isfinite(hi):
-            mid[j] = hi - 1.0
-        else:
-            mid[j] = 0.0
-    return mid
-
-
 def _solve_fixed_nlp(work: Model, obj_expr, fixings: dict, opt: MINLPOptions,
                      cache: KernelCache | None = None):
-    """Solve NLP(y-hat); returns (full env or None, objective, solver calls)."""
+    """Solve NLP(y-hat); returns (full env or None, objective, solver calls).
+
+    Fixing the integers usually leaves a linear program: in the layout
+    models every nonlinear term is a function of one integer node count.
+    The simplex solves those at a vertex, and only a problem that stays
+    nonlinear goes to the barrier.  Either way the point must satisfy every
+    row within ``_NL_FEAS_TOL``.
+    """
     built = build_nlp(work, obj_expr, fixings,
                       kernel_cache=cache, evaluator=opt.evaluator)
     if built.infeasible_reason is not None:
@@ -520,9 +512,17 @@ def _solve_fixed_nlp(work: Model, obj_expr, fixings: dict, opt: MINLPOptions,
         if bad:
             return None, math.inf, 0
         return env, built.objective_value, 0
-    res = solve_nlp(built.problem, options=opt.nlp_options)
-    if res.x is None or res.max_violation > _NL_FEAS_TOL:
+    problem = built.problem
+    lp = problem.linear_program()
+    if lp is None:
+        res = solve_nlp(problem, options=opt.nlp_options)
+        x, violation = res.x, res.max_violation
+    else:
+        res = solve_lp(lp, opt.lp_options)
+        x = res.x if res.is_optimal else None
+        violation = math.inf if x is None else problem.max_violation(x)
+    if x is None or violation > _NL_FEAS_TOL:
         return None, math.inf, 1
     env = dict(built.fixed)
-    env.update(res.value_map(built.problem.names))
+    env.update(zip(problem.names, x.tolist()))
     return env, float(obj_expr.evaluate(env)), 1

@@ -22,7 +22,10 @@ class MINLPResult:
     for OPTIMAL, and for limit statuses when an incumbent exists.
     ``nodes`` / ``cuts_added`` / ``nlp_solves`` / ``lp_iterations`` feed the
     solver-performance benchmarks (paper Sec. III-E: < 60 s at 40,960 nodes,
-    SOS vs binary branching).  ``kernel_counters`` snapshots the solve's
+    SOS vs binary branching).  ``nlp_solves`` counts every relaxation and
+    fixed-integer subproblem solved, whether the barrier or the simplex ran
+    it; ``lp_iterations`` counts the pivots of the master LPs only.
+    ``kernel_counters`` snapshots the solve's
     :class:`repro.kernels.KernelCache` counters (compiles, hits/misses,
     gradient/Hessian evaluations).
     """

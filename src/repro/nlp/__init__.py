@@ -13,7 +13,9 @@ inequality rows), the box and the inequality constraints enter the
 barrier, and a built-in phase-1 (minimize the maximum violation) produces
 the strictly feasible starting point the barrier needs.  The MINLP
 branch-and-bound layer uses this solver for continuous relaxations and for
-the fixed-integer subproblems NLP(ŷ) of the paper's LP/NLP algorithm.
+the fixed-integer subproblems NLP(ŷ) of the paper's LP/NLP algorithm that
+stay nonlinear once the integers are fixed; the linear ones go to the
+simplex (:meth:`NLPProblem.linear_program`).
 """
 
 from repro.nlp.problem import NLPProblem

@@ -26,7 +26,7 @@ from repro.expr.node import VarRef
 from repro.nlp.problem import NLPProblem
 from repro.nlp.result import NLPResult, NLPStatus
 
-__all__ = ["BarrierOptions", "solve_nlp"]
+__all__ = ["BarrierOptions", "box_interior_point", "solve_nlp"]
 
 
 @dataclass
@@ -83,6 +83,20 @@ def solve_nlp(
     return solver.minimize(x)
 
 
+def box_interior_point(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The centre of the box ``[lb, ub]``: its midpoint, 1 inside a finite
+    bound whose other side is not, and 0 where both sides are infinite."""
+    finite_lb, finite_ub = np.isfinite(lb), np.isfinite(ub)
+    x = np.zeros(lb.shape)
+    both = finite_lb & finite_ub
+    x[both] = 0.5 * (lb[both] + ub[both])
+    only_lo = finite_lb & ~finite_ub
+    x[only_lo] = lb[only_lo] + 1.0
+    only_hi = ~finite_lb & finite_ub
+    x[only_hi] = ub[only_hi] - 1.0
+    return x
+
+
 class _Barrier:
     def __init__(self, problem: NLPProblem, opt: BarrierOptions):
         self.p = problem
@@ -133,18 +147,6 @@ class _Barrier:
             return False
         return True
 
-    def box_interior_point(self) -> np.ndarray:
-        """The box centre; 1 inside a finite bound whose other side is not."""
-        lo, hi = self.p.lb, self.p.ub
-        x = np.zeros(self.p.n)
-        both = self.finite_lb & self.finite_ub
-        x[both] = 0.5 * (lo[both] + hi[both])
-        only_lo = self.finite_lb & ~self.finite_ub
-        x[only_lo] = lo[only_lo] + 1.0
-        only_hi = ~self.finite_lb & self.finite_ub
-        x[only_hi] = hi[only_hi] - 1.0
-        return x
-
     # -- phase 1 -----------------------------------------------------------------
 
     def phase1(self):
@@ -153,7 +155,7 @@ class _Barrier:
         Minimizes s subject to g_i(x) <= s by running the main barrier
         machinery on an augmented problem; stops early once s < 0.
         """
-        x_start = self.box_interior_point()
+        x_start = box_interior_point(self.p.lb, self.p.ub)
         if self.strictly_feasible(x_start):
             return x_start, None
         if not self.p.inequalities:

@@ -26,6 +26,7 @@ from repro.exceptions import InfeasibleError, ModelError
 from repro.expr.node import Add, Const, Expr, VarRef
 from repro.expr.substitute import substitute
 from repro.kernels import KernelCache, SmoothKernel
+from repro.lp.problem import LinearProgram, RowSense
 
 #: Re-exported for the issue-facing name: the smooth-function evaluator the
 #: barrier solver consumes is the kernel layer's object.
@@ -127,6 +128,22 @@ class NLPProblem:
             worst = max(worst, abs(sum(c * float(x[self.index[k]]) for k, c in coeffs.items()) - rhs))
         return worst
 
+    def linear_program(self) -> LinearProgram | None:
+        """This problem as a :class:`~repro.lp.LinearProgram` when it is
+        one, else None: it must carry no equality row, and its objective
+        and every row must be affine (each kernel's ``linear`` form).  The
+        LP leaves out the objective's constant."""
+        if self.eq_rows:
+            return None
+        forms = [k.linear for k in self.kernels()]
+        if None in forms:
+            return None
+        objective, *rows = forms
+        lp = LinearProgram(_dense(objective, self.names), self.lb, self.ub, self.names)
+        for form in rows:
+            lp.add_row(_dense(form, self.names), RowSense.LE, -form.constant)
+        return lp
+
     def eliminate_equalities(self):
         """``(reduced, kept, lift)``: this problem with every equality row
         substituted out, the positions of its variables in ``names`` and the
@@ -213,6 +230,11 @@ def _subtract(row: dict, r: float, f: float, other: dict, other_r: float) -> flo
         if abs(row[k]) <= _ZERO_TOL:
             del row[k]
     return r - f * other_r
+
+
+def _dense(form, names: list) -> list:
+    """The coefficients of the affine ``form`` in the order of ``names``."""
+    return [form.coeffs.get(name, 0.0) for name in names]
 
 
 def _affine(coeffs: dict, constant: float) -> Expr:

@@ -19,6 +19,7 @@ one-shot behavior exactly.
 
 from __future__ import annotations
 
+import functools
 import socket
 
 from repro.exceptions import (
@@ -71,12 +72,15 @@ class ServiceClient:
             payload = request.to_dict()
         else:
             payload = dict(request)
-        self._file.write(encode_line(payload))
+        return self._exchange(encode_line(payload))
+
+    def _exchange(self, line: bytes) -> ServiceResponse:
+        self._file.write(line)
         self._file.flush()
-        line = self._file.readline()
-        if not line:
+        reply = self._file.readline()
+        if not reply:
             raise ServiceError("connection closed before a response arrived")
-        return ServiceResponse.from_dict(decode_line(line))
+        return ServiceResponse.from_dict(decode_line(reply))
 
     def _next_id(self) -> str:
         self._counter += 1
@@ -84,24 +88,35 @@ class ServiceClient:
         return f"{prefix}-{self._counter}"
 
     def _solve(self, kind: str, spec, deadline=None, id: str = "") -> ServiceResponse:
-        body = spec if isinstance(spec, dict) else spec.to_dict()
+        raw = isinstance(spec, dict)
         request = ServiceRequest(
             kind=kind,
-            spec=body,
+            spec=spec if raw else {},
             id=id or self._next_id(),
             client=self.client_id,
             deadline=deadline,
         )
+        if raw:
+            send = functools.partial(self.call, request)
+        else:
+            # A spec object builds its canonical text once; it is spliced
+            # into the line as it is (the empty dict above only stands in
+            # for it while the request is validated).
+            payload = request.to_dict()
+            del payload["spec"]
+            send = functools.partial(
+                self._exchange, encode_line(payload, spec_text=spec.canonical_text)
+            )
         policy = self.retry_rejected
         if policy is None:
-            return self.call(request)
+            return send()
         # Admission backoff: re-send the SAME request (same id) while the
         # daemon sheds load.  Delays come from the policy's deterministic
         # capped-exponential schedule keyed by (seed, request id, attempt),
         # so a retry trace replays exactly.
         attempt = 1
         while True:
-            response = self.call(request)
+            response = send()
             if response.status != "rejected" or attempt >= policy.max_attempts:
                 return response
             telemetry.count(metric.CLIENT_REJECTED_RETRIES)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.exceptions import ProtocolError
@@ -62,23 +63,66 @@ TIERS = ("exact", "warm", "cold")
 
 #: Decoded response strings up to this length are interned (see _interned).
 _INTERN_MAX_LEN = 32
+#: Distinct ints the decoded responses share (see _interned); once the
+#: table is full, further ints are kept as decoded.  Decoding threads do
+#: not lock it: a race can only overshoot the cap by a few entries.
+_SHARED_INTS_MAX = 4096
+_shared_ints: dict = {}
 
 
-def encode_line(payload: dict) -> bytes:
-    """One protocol message as a single JSON line (newline-terminated)."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+class _EmptyMeta(Mapping):
+    """The ``meta`` of every response that carries none: one shared
+    read-only mapping instead of an empty dict per response.  It compares
+    equal to ``{}``, and copies and pickles as the one instance."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "_NO_META"
+
+
+_NO_META = _EmptyMeta()
+
+
+def encode_line(payload: dict, spec_text: str | None = None) -> bytes:
+    """One protocol message as a single JSON line (newline-terminated).
+
+    ``spec_text`` is the JSON text of a ``"spec"`` member that ``payload``
+    leaves out.  It is spliced in as it is: a spec object's canonical text
+    is built once per object, so re-encoding it per request would be
+    wasted work.
+    """
+    text = json.dumps(payload, separators=(",", ":"))
+    if spec_text is not None:
+        text = f'{text[:-1]},"spec":{spec_text}}}'
+    return text.encode("utf-8") + b"\n"
 
 
 def _interned(value):
     """``value`` with every dict key, at every depth, and every short string
-    interned.
+    interned, and every int shared.
 
-    Each ``json.loads`` builds fresh copies of the same keys and enum-like
-    strings (``status``, ``kind``, ``method``, component names), and a
-    client that keeps its answers keeps every copy.  Interning makes all
-    decoded responses share one copy, which roughly halves a kept
-    ``solve_point`` answer.  Only responses are interned: requests carry
-    large specs, so interning them would cost time on every request.
+    Each ``json.loads`` builds fresh copies of the same keys, enum-like
+    strings (``status``, ``kind``, ``method``, component names) and counts
+    (node budgets, allocations, B&B statistics), and a client that keeps
+    its answers keeps every copy.  Interning makes all decoded responses
+    share one copy, which roughly halves a kept ``solve_point`` answer.
+    Ints above 256 are not cached by Python, so a bounded table shares them
+    (exact type ``int`` only: ``True`` must stay a bool).  Only responses
+    are interned: requests carry large specs, so interning them would cost
+    time on every request.
     """
     if isinstance(value, dict):
         return {sys.intern(key): _interned(item) for key, item in value.items()}
@@ -86,6 +130,10 @@ def _interned(value):
         return [_interned(item) for item in value]
     if isinstance(value, str) and len(value) <= _INTERN_MAX_LEN:
         return sys.intern(value)
+    if type(value) is int:
+        if len(_shared_ints) < _SHARED_INTS_MAX:
+            return _shared_ints.setdefault(value, value)
+        return _shared_ints.get(value, value)
     return value
 
 
@@ -166,14 +214,16 @@ class ServiceRequest:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceResponse:
     """One daemon answer: a status, and (when ``ok``) a tier plus result.
 
     ``error`` is ``{"type": <exception class name>, "detail": <message>}``
     for every non-``ok`` status, so clients always get a machine-readable
     reason.  ``meta`` carries small extras (batch size, attempts, queue
-    depth) that never affect the result bits.
+    depth) that never affect the result bits; a response without any
+    shares one read-only empty mapping.  Clients keep their answers, so a
+    response has slots and no ``__dict__``.
     """
 
     id: str
@@ -181,7 +231,7 @@ class ServiceResponse:
     tier: str | None = None
     result: dict | None = None
     error: dict | None = None
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=lambda: _NO_META)
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -207,7 +257,7 @@ class ServiceResponse:
             tier=_interned(payload.get("tier")),
             result=_interned(payload.get("result")),
             error=payload.get("error"),
-            meta=dict(payload.get("meta", {})),
+            meta=dict(payload["meta"]) if payload.get("meta") else _NO_META,
         )
 
     def to_dict(self) -> dict:

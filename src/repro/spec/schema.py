@@ -56,7 +56,12 @@ def spec_key(payload) -> str:
     machines, which is what lets warm pools, caches and checkpoint files
     survive serialization boundaries.
     """
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return key_of_canonical(canonical_json(payload))
+
+
+def key_of_canonical(text: str) -> str:
+    """The :func:`spec_key` of the payload whose canonical JSON is ``text``."""
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"spec:{digest}"
 
 

@@ -32,6 +32,7 @@ node counts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ from repro.minlp.options import (
     minlp_options_from_dict,
     minlp_options_to_dict,
 )
-from repro.spec.schema import check_schema, spec_key, stamp
+from repro.spec.schema import canonical_json, check_schema, key_of_canonical, stamp
 
 _OBJECTIVES = ("min_max", "max_min", "min_sum")
 _METHODS = ("lpnlp", "bnb", "oracle")
@@ -83,9 +84,20 @@ class _SpecBase:
     def from_json(cls, text: str):
         return cls.from_dict(json.loads(text))
 
+    @functools.cached_property
+    def canonical_text(self) -> str:
+        """The canonical JSON text of :meth:`to_dict`, built once per object.
+
+        Specs are values: frozen, and nothing mutates the dicts they hold,
+        so the text cannot go stale.  It lives in the instance
+        ``__dict__``, outside the fields that ``==``, ``repr`` and ``hash``
+        read.
+        """
+        return canonical_json(self.to_dict())
+
     def spec_key(self) -> str:
         """Structural hash: equal keys iff byte-equal canonical payloads."""
-        return spec_key(self.to_dict())
+        return key_of_canonical(self.canonical_text)
 
 
 # -- machine / case ----------------------------------------------------------------

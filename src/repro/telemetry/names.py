@@ -18,7 +18,7 @@ from __future__ import annotations
 
 MINLP_SOLVES = "minlp.solves"              # counter{solver=} trees started
 MINLP_NODES = "minlp.nodes"                # counter{solver=} B&B nodes popped
-MINLP_NLP_SOLVES = "minlp.nlp_solves"      # counter{solver=} barrier calls
+MINLP_NLP_SOLVES = "minlp.nlp_solves"      # counter{solver=} NLP solves (simplex or barrier)
 MINLP_CUTS_ADDED = "minlp.cuts_added"      # counter: OA cuts entering the master
 MINLP_LP_ITERATIONS = "minlp.lp_iterations"  # counter: simplex iterations
 

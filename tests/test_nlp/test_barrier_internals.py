@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.minlp.lpnlp as lpnlp
 import repro.nlp.barrier as barrier
 from repro.cesm import ComponentId, Layout, ground_truth, make_case
 from repro.expr import var
@@ -449,6 +450,22 @@ def _barrier_class(barrier_cls):
         yield tally
 
 
+@contextlib.contextmanager
+def _fixed_problems():
+    """Collect the fixed-integer subproblems LP/NLP builds."""
+    problems = []
+    build_nlp = lpnlp.build_nlp
+
+    def recording_build(*args, **kwargs):
+        built = build_nlp(*args, **kwargs)
+        if built.problem is not None:
+            problems.append(built.problem)
+        return built
+
+    with mock.patch.object(lpnlp, "build_nlp", recording_build):
+        yield problems
+
+
 def _nlp_bits(result) -> tuple:
     x = None if result.x is None else result.x.tobytes()
     return (
@@ -595,7 +612,10 @@ class TestMeritCarry:
 
     def test_lpnlp_solves_take_under_half_the_evaluations(self):
         """The NLP subproblems of LP/NLP branch and bound (no equality rows,
-        no warm starts: the sweep's traffic) on all three Table I layouts."""
+        no warm starts: the sweep's traffic) on all three Table I layouts.
+        The solver hands its fixed-integer subproblems to the simplex, so
+        they are passed straight to ``solve_nlp`` after its seed
+        relaxations."""
         truth = ground_truth("1deg")
         calls = []
         for barrier_cls in (_Barrier, _ReferenceBarrier):
@@ -604,7 +624,7 @@ class TestMeritCarry:
             # compiles.
             clear_core_store()
             answers = []
-            with _barrier_class(barrier_cls) as tally:
+            with _barrier_class(barrier_cls) as tally, _fixed_problems() as fixed:
                 for layout in Layout:
                     case = make_case("1deg", 128, layout=layout, seed=0)
                     model = layout_model_for_case(
@@ -613,6 +633,8 @@ class TestMeritCarry:
                     res = solve_lpnlp(model)
                     answers.append((res.objective.hex(), res.nodes, res.nlp_solves,
                                     res.kernel_counters))
+                assert fixed
+                answers += [_nlp_bits(solve_nlp(problem)) for problem in fixed]
             calls.append((answers, tally.merit_calls))
         (new_answers, new_calls), (ref_answers, ref_calls) = calls
         assert new_answers == ref_answers

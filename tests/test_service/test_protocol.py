@@ -1,16 +1,31 @@
 """Wire-protocol typing: every malformed message is a typed refusal."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import ProtocolError
 from repro.service import (
     REQUEST_KINDS,
+    ServiceClient,
     ServiceRequest,
     ServiceResponse,
     decode_line,
     encode_line,
 )
 from repro.service.protocol import error_response
+
+from tests.test_service._util import point_specs
+
+#: A 1/8-degree ``solve_point`` answer as the daemon writes it.
+ANSWER_LINE = (
+    b'{"id":"bench1-1204","status":"ok","tier":"exact","result":{"kind":"layout_point",'
+    b'"method":"lpnlp","total_nodes":8192,"objective":3432.56210437463,'
+    b'"allocation":{"atm":5056,"ice":4933,"lnd":123,"ocn":3136},'
+    b'"solver":{"status":"optimal","nodes":8,"cuts_added":8,"nlp_solves":2,'
+    b'"lp_iterations":26,"best_bound":3432.56210437463}}}\n'
+)
 
 
 class TestLineCodec:
@@ -133,6 +148,32 @@ class TestServiceResponse:
         assert first.status is second.status and first.tier is second.tier
         assert ServiceResponse.from_dict(first.to_dict()) == first
 
+    def test_decoded_answer_keeps_under_1100_bytes(self):
+        """A client may keep every answer it decodes.  A kept answer has no
+        ``__dict__``, shares one empty ``meta`` and shares its strings and
+        ints with every other decoded answer."""
+        first = ServiceResponse.from_dict(decode_line(ANSWER_LINE))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            kept = [ServiceResponse.from_dict(decode_line(ANSWER_LINE)) for _ in range(2000)]
+            per_answer = (tracemalloc.get_traced_memory()[0] - start) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_answer < 1100
+        last = kept[-1]
+        assert last.meta == {} and last.meta is first.meta
+        assert last.result["allocation"]["atm"] is first.result["allocation"]["atm"]
+        assert ServiceResponse.from_dict(decode_line(encode_line(last.to_dict()))) == last
+
+    def test_shared_ints_keep_bools(self):
+        response = ServiceResponse.from_dict(decode_line(
+            b'{"id":"r","status":"ok","result":{"flag":true,"count":1000}}'
+        ))
+        assert response.result["flag"] is True
+        assert response.result == {"flag": True, "count": 1000}
+
     def test_error_response_shape(self):
         response = error_response("r9", "rejected", "AdmissionError",
                                   "queue full", in_flight=7)
@@ -142,3 +183,34 @@ class TestServiceResponse:
                                   "detail": "queue full"}
         assert response.meta == {"in_flight": 7}
         assert not response.ok
+
+
+class _Wire:
+    """A client connection's file: keeps what is written, answers ok."""
+
+    def __init__(self):
+        self.sent = []
+
+    def write(self, line):
+        self.sent.append(line)
+
+    def flush(self):
+        pass
+
+    def readline(self):
+        return encode_line({"id": "r1", "status": "ok", "result": {}})
+
+
+class TestEncodeOnce:
+    def test_spec_object_line_decodes_like_its_dict(self, calibrated):
+        """A spec object goes out as its canonical text, spliced into the
+        line; the server must decode what the dict path sent."""
+        spec = point_specs(calibrated, (2048,))[0]
+        client = ServiceClient.__new__(ServiceClient)
+        client.client_id, client.retry_rejected, client._counter = "c", None, 0
+        client._file = wire = _Wire()
+        for body in (spec, spec.to_dict()):
+            assert client.solve_point(body, deadline=30.0, id="r1").ok
+        spliced, encoded = wire.sent
+        assert spec.canonical_text.encode() in spliced
+        assert decode_line(spliced) == decode_line(encoded)

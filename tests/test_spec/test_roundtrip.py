@@ -32,6 +32,7 @@ from repro.spec import (
     TuneSpec,
     canonical_json,
     spec_from_json,
+    spec_key,
 )
 
 COMPONENTS = ("atm", "ocn", "ice", "lnd")
@@ -207,6 +208,22 @@ def test_solve_point_round_trip(spec):
 def test_tune_round_trip(spec):
     _assert_round_trips(spec)
     assert spec_from_json(spec.to_json()) == spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(solve_points | tunes)
+def test_canonical_text_is_built_once_and_changes_nothing(spec):
+    """The text is the canonical JSON of ``to_dict()``, built on first use
+    and kept; keeping it changes neither ``==``, ``repr`` nor the key, and
+    ``to_dict()`` still returns a fresh dict."""
+    unkept = type(spec).from_dict(spec.to_dict())
+    before = (repr(spec), spec_key(spec.to_dict()))
+    text = spec.canonical_text
+    assert text == canonical_json(spec.to_dict())
+    assert spec.canonical_text is text
+    assert (repr(spec), spec.spec_key()) == before
+    assert spec == unkept
+    assert spec.to_dict() is not spec.to_dict()
 
 
 @settings(max_examples=50, deadline=None)

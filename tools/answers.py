@@ -6,23 +6,30 @@ Run from the repository root (no build step)::
     python tools/answers.py diff A B
 
 ``dump`` runs workloads of ``hslbbench`` (imported, not changed) and writes
-one JSON line per record, in call order: every ``solve_nlp`` reached through
-``repro.minlp.lpnlp`` or ``repro.minlp.bnb``, and every ``MINLPResult`` a
-workload gets back.  Floats are written as hex, so equal dumps mean
-bit-identical answers.  The sets, all on benchmark seed 20:
+one JSON line per record, in call order.  There are three kinds of record:
+``nlp``, every ``solve_nlp`` reached through ``repro.minlp.lpnlp`` or
+``repro.minlp.bnb``; ``fixed``, every fixed-integer subproblem answer
+(``_solve_fixed_nlp``, whether the simplex or the barrier solved it); and
+``minlp``, every ``MINLPResult`` a workload gets back.  A barrier solve of a
+fixed-integer subproblem is both a ``fixed`` and an ``nlp`` record.  Floats
+are written as hex, so equal dumps mean bit-identical answers.  The sets,
+all on benchmark seed 20:
 
 - ``sweep``: ``Sweep``'s set-up plus operations 0-8 (LP/NLP, reuse on);
 - ``bnb``: the same 9 ladders with ``method="bnb", reuse=False``;
 - ``tune``: ``Tune`` operations 0-9.
 
-Each record splits *decision* fields (status, integer solution values,
-nodes, LP iterations, cuts, NLP solves) from *value* fields (objective and
-bound bits, continuous values, ``x``, Newton iterations, ``mu_final``,
+Each record splits *decision* fields (status, integer solution values and
+fixings, nodes, LP iterations, cuts, NLP solves, whether a fixed-integer
+point was certified) from *value* fields (objective and bound bits,
+continuous values, ``x``, Newton iterations, ``mu_final``,
 ``max_violation``, message).  Kernel hit, miss and compile counts depend on
 what the process compiled before, and timings vary, so neither is recorded.
 
-``diff`` names, per set, the first record and field that differ and counts
-the decision and value differences.  It exits 1 on any decision difference.
+``diff`` compares each (set, kind) stream on its own, so a kind whose
+record count changes does not misalign the others.  Per stream it names
+the first record and field that differ and counts the decision and value
+differences.  It exits 1 on any decision difference.
 Compare dumps taken on one host: fitting evaluates ``n ** c`` on numpy
 arrays, and numpy picks its SIMD ``pow`` by CPU features.
 """
@@ -69,6 +76,18 @@ class Recorder:
             "message": result.message,
         })
 
+    def fixed(self, solver: str, args: tuple, result) -> None:
+        fixings = args[2]
+        env, objective, solves = result
+        self._add("fixed", solver, {
+            "fixings": {k: _hex(v) for k, v in fixings.items()},
+            "certified": env is not None,
+            "solves": solves,
+        }, {
+            "objective": _hex(objective),
+            "continuous": {k: _hex(v) for k, v in (env or {}).items() if k not in fixings},
+        })
+
     def minlp(self, solver: str, args: tuple, result) -> None:
         model = args[0]
         solution = result.solution or {}
@@ -101,8 +120,9 @@ def _recorded(original, solver: str, record):
 
 @contextlib.contextmanager
 def _recording(recorder: Recorder):
-    """Route the program's NLP and MINLP entry points through ``recorder``
-    (the MINLP ones take the model as their first argument)."""
+    """Route the program's NLP, fixed-integer and MINLP entry points through
+    ``recorder``, where their callers look them up (the MINLP ones take the
+    model as their first argument)."""
     from repro.analysis import whatif
     from repro.hslb import solve
     from repro.minlp import bnb, lpnlp
@@ -110,6 +130,8 @@ def _recording(recorder: Recorder):
     patches = [
         (lpnlp, "solve_nlp", "lpnlp", recorder.nlp),
         (bnb, "solve_nlp", "bnb", recorder.nlp),
+        (lpnlp, "_solve_fixed_nlp", "lpnlp", recorder.fixed),
+        (bnb, "_solve_fixed_nlp", "bnb", recorder.fixed),
         (whatif, "solve_lpnlp", "lpnlp", recorder.minlp),
         (whatif, "solve_nlp_bnb", "bnb", recorder.minlp),
         (solve, "solve_lpnlp", "lpnlp", recorder.minlp),
@@ -159,12 +181,13 @@ def dump(out: str, sets: list) -> None:
 
 
 def _load(path: str) -> dict:
-    by_set: dict = {}
+    """The records of a dump by (set, kind) stream, each in call order."""
+    streams: dict = {}
     with open(path) as fh:
         for line in fh:
             record = json.loads(line)
-            by_set.setdefault(record["set"], []).append(record)
-    return by_set
+            streams.setdefault((record["set"], record["kind"]), []).append(record)
+    return streams
 
 
 def _compare(records_a: list, records_b: list):
@@ -193,15 +216,15 @@ def _compare(records_a: list, records_b: list):
 
 
 def diff(path_a: str, path_b: str) -> int:
-    sets_a, sets_b = _load(path_a), _load(path_b)
+    streams_a, streams_b = _load(path_a), _load(path_b)
     decisions = 0
-    for name in list(sets_a) + [s for s in sets_b if s not in sets_a]:
-        records_a, records_b = sets_a.get(name, []), sets_b.get(name, [])
+    for stream in list(streams_a) + [s for s in streams_b if s not in streams_a]:
+        records_a, records_b = streams_a.get(stream, []), streams_b.get(stream, [])
         counts, first = _compare(records_a, records_b)
         decisions += counts["decision"]
         sizes = (f"{len(records_a)}" if len(records_a) == len(records_b)
                  else f"{len(records_a)} vs {len(records_b)}")
-        line = (f"{name}: {sizes} records, {counts['decision']} decision and "
+        line = (f"{'/'.join(stream)}: {sizes} records, {counts['decision']} decision and "
                 f"{counts['value']} value differences")
         print(line + (f"; first at {first}" if first else ""))
     return 1 if decisions else 0

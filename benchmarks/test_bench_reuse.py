@@ -105,7 +105,7 @@ def test_whatif_ladder_speedup(benchmark, report):
     record("whatif_ladder", {
         "layout": "HYBRID",
         "method": "lpnlp",
-        "family": "cuts+incumbent+basis+fbbt (pseudocosts off)",
+        "family": "cuts+incumbent+basis (pseudocosts off)",
         "node_counts": list(LADDER),
         "cold_seconds": round(t_cold, 3),
         "warm_seconds": round(t_warm, 3),
@@ -154,7 +154,7 @@ def test_layout_suite_speedup(benchmark, report):
     record("table_i_layout_suite", {
         "layouts": [layout.name for layout in LAYOUTS],
         "method": "lpnlp",
-        "family": "cuts+incumbent+basis+fbbt (pseudocosts off), one per layout",
+        "family": "cuts+incumbent+basis (pseudocosts off), one per layout",
         "node_counts": list(LADDER),
         "cold_seconds": round(t_cold, 3),
         "warm_seconds": round(t_warm, 3),

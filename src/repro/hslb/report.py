@@ -88,8 +88,6 @@ _REUSE_LABELS = (
     ("incumbent_seeded", "incumbents seeded"),
     ("incumbent_rejected", "incumbents rejected"),
     ("basis_reused", "bases reused"),
-    ("fbbt_rounds", "FBBT rounds"),
-    ("fbbt_tightenings", "FBBT tightenings"),
     ("pseudocost_entries", "pseudocost entries carried"),
 )
 

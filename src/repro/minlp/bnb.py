@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import time
 
-import numpy as np
-
 from repro.exceptions import ModelError, SolverError
 from repro.kernels import KernelCache
 from repro.model.model import Model
@@ -37,21 +35,6 @@ from repro.util.timing import Stopwatch
 __all__ = ["solve_nlp_bnb"]
 
 _NL_FEAS_TOL = 1e-6
-
-
-def _warm_x0(node: Node, prob):
-    """Project the parent's solution into this node's (tighter) box,
-    nudged strictly inside; solve_nlp falls back to phase 1 if the
-    projection is not strictly feasible for the nonlinear rows."""
-    if node.warm is None:
-        return None
-    vals = np.array([node.warm.get(name, 0.0) for name in prob.names])
-    margin = 1e-6 * (1.0 + np.abs(prob.ub - prob.lb))
-    lo_s = np.where(np.isfinite(prob.lb), prob.lb + margin, vals)
-    hi_s = np.where(np.isfinite(prob.ub), prob.ub - margin, vals)
-    if np.all(lo_s <= hi_s):
-        return np.clip(vals, lo_s, hi_s)
-    return None
 
 
 def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPResult:
@@ -79,10 +62,10 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
     upper = math.inf
     nlp_solves = 0
 
-    # Cross-solve reuse: only the FBBT root box and incumbent seeding apply
-    # here — cut and basis carry-over are LP-master concepts, and the root
-    # barrier start point is deliberately NOT seeded (a different interior
-    # start would perturb relaxation bits; see docs/reuse.md).
+    # Cross-solve reuse: only incumbent seeding applies here — cut and basis
+    # carry-over are LP-master concepts, and the root barrier start point is
+    # deliberately NOT seeded (a different interior start would perturb
+    # relaxation bits; see docs/reuse.md).
     reuse = opt.reuse
     plan = None
     rz: dict = {}
@@ -104,10 +87,7 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                 rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
 
     queue = NodeQueue(opt.node_selection)
-    root = Node()
-    if plan is not None:
-        root.bounds = dict(plan.root_bounds)
-    queue.push(root)
+    queue.push(Node())
     nodes = 0
     status = MINLPStatus.OPTIMAL
     message = ""
@@ -149,8 +129,7 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                 continue
 
             with sw.phase("nlp"), telemetry.span("bnb.nlp"):
-                x0 = _warm_x0(node, built.problem)
-                res = solve_nlp(built.problem, x0=x0, options=opt.nlp_options)
+                res = solve_nlp(built.problem, options=opt.nlp_options)
             nlp_solves += 1
             telemetry.count(metric.MINLP_NLP_SOLVES, solver="bnb")
             if res.x is None:
@@ -212,7 +191,7 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                     raise SolverError("no branching candidate on a fractional node")
                 left, right = branch_integer(frac_name, env[frac_name], node.bounds)
             for child_bounds in (left, right):
-                queue.push(Node(bounds=child_bounds, bound=bound, depth=node.depth + 1, warm=dict(env)))
+                queue.push(Node(bounds=child_bounds, bound=bound, depth=node.depth + 1))
 
     if reuse is not None:
         reuse.absorb(

@@ -188,11 +188,9 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
             rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
 
     root = Node()
-    if plan is not None:
-        root.bounds = dict(plan.root_bounds)
-        if plan.warm is not None and opt.use_warm_start:
-            root.warm = plan.warm
-            rz["basis_reused"] = 1
+    if plan is not None and plan.warm is not None and opt.use_warm_start:
+        root.warm = plan.warm
+        rz["basis_reused"] = 1
     queue.push(root)
 
     def cutoff() -> float:

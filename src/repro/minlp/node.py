@@ -24,9 +24,8 @@ class Node:
     bound: float = float("-inf")
     depth: int = 0
     cut_rounds: int = 0
-    # Parent relaxation artifact used to warm-start node solves: the
-    # NLP-based B&B stores the parent env dict, the LP/NLP solver stores
-    # the parent LP basis (a WarmStart).
+    # The parent's LP basis (a WarmStart), used by the LP/NLP solver to
+    # warm-start this node's LP.
     warm: object | None = None
     # Pseudo-cost bookkeeping: (var_name, "down"|"up", fractional_distance,
     # parent_objective), consumed at this node's first LP solve.

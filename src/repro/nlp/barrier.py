@@ -73,12 +73,11 @@ def solve_nlp(
         if x is None:
             return phase1  # infeasible (or phase-1 failure) result
     # Starting points routinely sit pressed into a corner of the feasible
-    # set (phase 1 minimizes the violation slack; warm starts are clipped
-    # projections), where the main barrier's Newton iteration crawls along
-    # curved constraint walls.  Pull the point toward the analytic center
-    # first (minimize the barrier with a vanishing objective weight); this
-    # is best effort — a stall here is fine, and it costs almost nothing
-    # when the point is already central.
+    # set (phase 1 minimizes the violation slack), where the main barrier's
+    # Newton iteration crawls along curved constraint walls.  Pull the
+    # point toward the analytic center first (minimize the barrier with a
+    # vanishing objective weight); this is best effort — a stall here is
+    # fine, and it costs almost nothing when the point is already central.
     x, _, _ = solver._center(x, t=1e-8, stop_idx=None)
     return solver.minimize(x)
 

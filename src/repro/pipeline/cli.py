@@ -106,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="thread a cross-solve reuse family (warm cut pool, root FBBT "
-        "presolve) through the MINLP solve; results are bit-identical to "
-        "a cold solve (default: off for this single-solve command)",
+        help="thread a cross-solve reuse family through the MINLP solve and "
+        "report its counters; a single solve starts from an empty family, "
+        "so results are bit-identical to a cold solve (default: off for "
+        "this single-solve command)",
     )
     _add_resilience_args(p_tune)
     _add_parallel_args(p_tune)

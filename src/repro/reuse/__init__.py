@@ -1,17 +1,14 @@
-"""Cross-solve reuse: warm pools and root presolve for MINLP solve families.
+"""Cross-solve reuse: warm pools for MINLP solve families.
 
 See :mod:`repro.reuse.family` for the :class:`SolveFamily` engine and
 ``docs/reuse.md`` for the pool lifecycle and validity rules.
 """
 
 from repro.reuse.family import FamilyDelta, ReusePlan, SolveFamily, family_map
-from repro.reuse.fbbt import FBBTResult, fbbt_root_bounds
 
 __all__ = [
     "FamilyDelta",
-    "FBBTResult",
     "ReusePlan",
     "SolveFamily",
     "family_map",
-    "fbbt_root_bounds",
 ]

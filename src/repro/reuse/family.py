@@ -3,7 +3,7 @@
 A *solve family* is a sequence of related MINLP solves — a what-if sweep
 over total node counts, the constrained/unconstrained pair of a
 constraint-cost study, an ablation re-solving one layout many times.  The
-family threads five kinds of state across its members:
+family threads four kinds of state across its members:
 
 1. **Cut pool** — outer-approximation :class:`~repro.expr.linearize.TangentCut`
    rows, tagged with the ``struct_key`` of the nonlinear ``<= 0`` body they
@@ -24,8 +24,6 @@ family threads five kinds of state across its members:
    the perturbations a dual-simplex warm start repairs).
 4. **Pseudocost carry-over** — branching history (summed degradations and
    observation counts per variable/direction) accumulates across members.
-5. **Root FBBT** — :func:`repro.reuse.fbbt.fbbt_root_bounds` tightens the
-   root box before the tree starts.
 
 Parallel composition: :func:`family_map` solves the first item against the
 live family, snapshots, fans the remaining items out over a
@@ -41,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.parallel.executor import executor_scope
-from repro.reuse.fbbt import fbbt_root_bounds
 from repro.spec.schema import spec_key
 from repro import telemetry
 from repro.telemetry import names as metric
@@ -78,14 +75,12 @@ class ReusePlan:
     the solve can be tagged without recomputing structural hashes.
     """
 
-    root_bounds: dict = field(default_factory=dict)
     cuts: list = field(default_factory=list)
     covered: bool = False
     body_tags: list = field(default_factory=list)
     channel: str = ""
     fixings: dict | None = None
     warm: object | None = None
-    warm_env: dict | None = None
     pseudo: tuple | None = None
     counters: dict = field(default_factory=dict)
 
@@ -128,17 +123,13 @@ class SolveFamily:
         incumbent: bool = True,
         basis: bool = True,
         pseudocosts: bool = True,
-        fbbt: bool = True,
         max_cuts_per_tag: int = 24,
-        fbbt_rounds: int = 8,
     ):
         self.enable_cuts = cuts
         self.enable_incumbent = incumbent
         self.enable_basis = basis
         self.enable_pseudocosts = pseudocosts
-        self.enable_fbbt = fbbt
         self.max_cuts_per_tag = int(max_cuts_per_tag)
-        self.fbbt_rounds = int(fbbt_rounds)
 
         self._cuts: list = []          # (tag, key, TangentCut), append-only
         self._cut_keys: set = set()
@@ -159,7 +150,7 @@ class SolveFamily:
         self.counters: dict = {}
 
     #: :meth:`for_counts` carries the full feature set only while the member
-    #: size spread stays under this ratio.  Cuts, pseudocosts and FBBT all
+    #: size spread stays under this ratio.  Cuts and pseudocosts both
     #: transfer well between nearly identical budgets, but across a wide
     #: budget ladder the stale state can badly mislead the search: carried
     #: pseudocosts grow the 1-degree HYBRID ladder's bottom rung 12 -> 27
@@ -184,7 +175,6 @@ class SolveFamily:
         if wide:
             kwargs.setdefault("cuts", False)
             kwargs.setdefault("pseudocosts", False)
-            kwargs.setdefault("fbbt", False)
         return cls(**kwargs)
 
     # -- solver-facing API -------------------------------------------------------
@@ -214,13 +204,6 @@ class SolveFamily:
         plan.body_tags = [body.struct_key() for _, body in bodies]
         plan.channel = self._channel(model, plan.body_tags)
 
-        if self.enable_fbbt:
-            res = fbbt_root_bounds(model, max_rounds=self.fbbt_rounds)
-            plan.counters["fbbt_rounds"] = res.rounds
-            plan.counters["fbbt_tightenings"] = res.tightenings
-            if res.infeasible_row is None:
-                plan.root_bounds = res.bounds
-
         model_tags = set(plan.body_tags)
         planned_keys: list = []
         if self.enable_cuts and columns is not None and model_tags:
@@ -236,7 +219,6 @@ class SolveFamily:
         inc = self._incumbents.get(plan.channel) if self.enable_incumbent else None
         if inc is not None:
             plan.fixings = self._project_incumbent(model, inc[0])
-            plan.warm_env = dict(inc[0])
             if plan.fixings is None:
                 plan.counters["incumbent_rejected"] = 1
 

@@ -14,7 +14,7 @@ layout and solver configuration — see
 repeats but share a channel — a what-if ladder arriving as separate
 requests, many users tuning the same machine at different job sizes —
 solve against the channel's accumulated warm state: carried OA cuts,
-re-certified incumbents, root bases, pseudocosts, FBBT.  The reuse
+re-certified incumbents, root bases, pseudocosts.  The reuse
 engine's contract keeps warm answers bit-identical to cold ones; only the
 work to find them shrinks.  Bounded LRU over channels.
 
@@ -163,14 +163,13 @@ class WarmPools:
         warm = pool.solves > 0
         telemetry.count(metric.WARM_POOL_LEASES, tier="warm" if warm else "cold")
         if pool.widen(total_nodes) and pool.family.enable_cuts:
-            # Same rationale as SolveFamily.for_counts: cuts, pseudocosts
-            # and FBBT transfer well between near-identical budgets but can
+            # Same rationale as SolveFamily.for_counts: cuts and pseudocosts
+            # transfer well between near-identical budgets but can
             # explode trees across a wide ladder; incumbent + basis reuse
             # are unconditionally safe.  Flip the unsafe channels off for
             # the rest of this family's life.
             pool.family.enable_cuts = False
             pool.family.enable_pseudocosts = False
-            pool.family.enable_fbbt = False
             self.downgrades += 1
             telemetry.count(metric.WARM_POOL_DOWNGRADED)
             if self.events is not None:

@@ -66,7 +66,7 @@ class TestCutPool:
 
     def test_plan_filters_by_tag_and_columns(self):
         model = layout_model()
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         probe = fam.plan(model, columns=model.variable_names(), base_rows=3)
         tag = probe.body_tags[0]
         good = cut({model.variable_names()[0]: 1.0}, 1.0)
@@ -78,7 +78,7 @@ class TestCutPool:
 
     def test_covered_requires_every_tag(self):
         model = layout_model()
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         probe = fam.plan(model, columns=model.variable_names(), base_rows=3)
         name = model.variable_names()[0]
         fam.absorb(new_cuts=[(probe.body_tags[0], cut({name: 1.0}, 1.0))])
@@ -94,13 +94,13 @@ class TestCutPool:
 
 class TestChannels:
     def test_same_curves_share_a_channel(self):
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         p64 = fam.plan(layout_model(n=64))
         p56 = fam.plan(layout_model(n=56))
         assert p64.channel == p56.channel
 
     def test_swapped_curve_changes_channel(self):
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         base = fam.plan(layout_model())
         swapped_perf = {**PERF, I: PerfModel(a=9000.0, d=18.0)}
         swapped = fam.plan(layout_model(perf=swapped_perf))
@@ -110,7 +110,7 @@ class TestChannels:
         model = layout_model()
         sol = solve_lpnlp(model).solution
         assert sol is not None
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         plan = fam.plan(model)
         fam.absorb(channel=plan.channel, incumbent_env=sol, objective=1.0)
         again = fam.plan(layout_model(n=56))
@@ -120,7 +120,7 @@ class TestChannels:
         assert other.fixings is None
 
     def test_pseudocosts_stay_in_channel(self):
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         model = layout_model()
         plan = fam.plan(model)
         fam.absorb(
@@ -133,7 +133,7 @@ class TestChannels:
         assert fam.plan(layout_model(perf=swapped_perf)).pseudo is None
 
     def test_stats_count_channels(self):
-        fam = SolveFamily(fbbt=False)
+        fam = SolveFamily()
         plan = fam.plan(layout_model())
         fam.absorb(channel=plan.channel, pseudo=({}, {("x", "up"): 1}))
         assert fam.stats()["channels"] == 1

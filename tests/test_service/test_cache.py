@@ -95,7 +95,6 @@ class TestWarmPools:
         pools.lease("ch", 1000)
         assert not family.enable_cuts
         assert not family.enable_pseudocosts
-        assert not family.enable_fbbt
         assert family.enable_incumbent and family.enable_basis
         assert pools.stats()["downgrades"] == 1
         assert len(events.of_kind(EventKind.WARM_POOL_DOWNGRADED)) == 1

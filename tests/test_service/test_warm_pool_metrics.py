@@ -63,7 +63,6 @@ class TestWideSpreadDowngrade:
         pools.lease("wide", hi)              # spread now exceeds the guard
         assert not family.enable_cuts
         assert not family.enable_pseudocosts
-        assert not family.enable_fbbt
         assert pools.downgrades == 1
         assert len(events.of_kind(EventKind.WARM_POOL_DOWNGRADED)) == 1
         assert registry.get_count(names.WARM_POOL_DOWNGRADED) == 1

@@ -2,7 +2,7 @@
 
 Run from the repository root (no build step)::
 
-    python tools/answers.py dump OUT [--sets sweep,bnb,tune]
+    python tools/answers.py dump OUT [--sets sweep,bnb,tune,tight]
     python tools/answers.py diff A B
 
 ``dump`` runs workloads of ``hslbbench`` (imported, not changed) and writes
@@ -17,7 +17,11 @@ all on benchmark seed 20:
 
 - ``sweep``: ``Sweep``'s set-up plus operations 0-8 (LP/NLP, reuse on);
 - ``bnb``: the same 9 ladders with ``method="bnb", reuse=False``;
-- ``tune``: ``Tune`` operations 0-9.
+- ``tune``: ``Tune`` operations 0-9;
+- ``tight``: ``Service``'s spec pool (4 curve sets x 3 layouts x 6 budgets,
+  LP/NLP), each budget ladder solved one spec at a time, in order, through
+  one fresh ``SolveFamily`` with every reuse feature on, as the service's
+  warm pool of that channel would.
 
 Each record splits *decision* fields (status, integer solution values and
 fixings, nodes, LP iterations, cuts, NLP solves, whether a fixed-integer
@@ -44,7 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20
-SETS = ("sweep", "bnb", "tune")
+SETS = ("sweep", "bnb", "tune", "tight")
 LADDERS = 9
 TUNE_OPERATIONS = 10
 
@@ -147,10 +151,30 @@ def _recording(recorder: Recorder):
             setattr(owner, attr, original)
 
 
+def _run_tight() -> None:
+    import workloads
+    from repro.analysis.whatif import _solve_layout_point, layout_point_specs
+    from repro.reuse import SolveFamily
+
+    for k in range(workloads.SERVICE_CURVE_SETS):
+        perf, bounds, ocn, atm = workloads.fitted_curves(
+            workloads.derive(SEED, workloads._CURVES, k))
+        for layout in workloads.LAYOUTS:
+            family = SolveFamily()
+            for spec in layout_point_specs(
+                perf, bounds, workloads.BUDGETS, layout=layout,
+                ocn_allowed=ocn, atm_allowed=atm, method="lpnlp",
+            ):
+                _solve_layout_point(spec, family)
+
+
 def _run_set(name: str, recorder: Recorder) -> None:
     import workloads
 
-    if name == "tune":
+    if name == "tight":
+        recorder.current = name
+        _run_tight()
+    elif name == "tune":
         work = workloads.Tune(SEED)
         recorder.current = name
         for index in range(TUNE_OPERATIONS):
@@ -236,7 +260,7 @@ def main(argv=None) -> int:
     dump_cmd = commands.add_parser("dump", help="write the records of the sets to OUT")
     dump_cmd.add_argument("out")
     dump_cmd.add_argument("--sets", default=",".join(SETS),
-                          help="comma-separated subset of sweep,bnb,tune")
+                          help="comma-separated subset of " + ",".join(SETS))
     diff_cmd = commands.add_parser("diff", help="compare two dumps")
     diff_cmd.add_argument("a")
     diff_cmd.add_argument("b")
